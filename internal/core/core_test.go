@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"pedal/internal/hwmodel"
@@ -395,28 +398,107 @@ func TestLosslessDesignsMatchFig10Labels(t *testing.T) {
 	}
 }
 
-func TestConcurrentCompress(t *testing.T) {
-	lib := newLib(t, hwmodel.BlueField2)
-	data := textData(32 << 10)
-	done := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		go func() {
-			msg, _, err := lib.Compress(Design{AlgoDeflate, hwmodel.CEngine}, TypeBytes, data)
-			if err != nil {
-				done <- err
-				return
-			}
-			out, _, err := lib.Decompress(hwmodel.CEngine, TypeBytes, msg, len(data)+64)
-			if err == nil && !bytes.Equal(out, data) {
-				err = errors.New("mismatch")
-			}
-			done <- err
-		}()
+// concurrentMix is the per-goroutine workload of TestConcurrentCompress:
+// one design each from the SoC, C-Engine, lossy and pipelined paths, so
+// the four goroutines contend on every piece of shared library state.
+var concurrentMix = []struct {
+	d         Design
+	dt        DataType
+	pipelined bool
+}{
+	{Design{AlgoDeflate, hwmodel.SoC}, TypeBytes, false},
+	{Design{AlgoDeflate, hwmodel.CEngine}, TypeBytes, false},
+	{Design{AlgoSZ3, hwmodel.SoC}, TypeFloat64, false},
+	{Design{AlgoLZ4, hwmodel.SoC}, TypeBytes, true},
+}
+
+// runMixWorker runs three compress+decompress rounds of concurrentMix[i]
+// and returns every report in call order.
+func runMixWorker(lib *Library, i int, text, floats []byte) ([]Report, error) {
+	w := concurrentMix[i]
+	data := text
+	if w.d.Algo == AlgoSZ3 {
+		data = floats
 	}
-	for g := 0; g < 16; g++ {
-		if err := <-done; err != nil {
+	compress := lib.Compress
+	if w.pipelined {
+		compress = lib.CompressPipelined
+	}
+	var reps []Report
+	for round := 0; round < 3; round++ {
+		msg, crep, err := compress(w.d, w.dt, data)
+		if err != nil {
+			return nil, err
+		}
+		out, drep, err := lib.Decompress(w.d.Engine, w.dt, msg, len(data)+64)
+		if err != nil {
+			return nil, err
+		}
+		if !w.d.Algo.Lossy() && !bytes.Equal(out, data) {
+			return nil, fmt.Errorf("%v: round trip mismatch", w.d)
+		}
+		reps = append(reps, crep, drep)
+	}
+	return reps, nil
+}
+
+// TestConcurrentCompress runs four goroutines mixing SoC, C-Engine, SZ3
+// and pipelined operations on one Library and checks that per-operation
+// accounting is really per operation: every Report equals the one the
+// same call returns on a library used serially, and the lifetime total
+// grows by exactly the sum of the reports.
+func TestConcurrentCompress(t *testing.T) {
+	text, floats := textData(256<<10), floatData(128<<10)
+	serial := newLib(t, hwmodel.BlueField2)
+	want := make([][]Report, len(concurrentMix))
+	for i := range concurrentMix {
+		reps, err := runMixWorker(serial, i, text, floats)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[i] = reps
+	}
+
+	lib := newLib(t, hwmodel.BlueField2)
+	before := lib.TotalBreakdown().Snapshot()
+	got := make([][]Report, len(concurrentMix))
+	errs := make([]error, len(concurrentMix))
+	var wg sync.WaitGroup
+	for i := range concurrentMix {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = runMixWorker(lib, i, text, floats)
+		}(i)
+	}
+	wg.Wait()
+
+	sum := stats.NewBreakdown()
+	for p, d := range before {
+		sum.Add(p, d)
+	}
+	for i := range concurrentMix {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", concurrentMix[i].d, errs[i])
+		}
+		for j, g := range got[i] {
+			w := want[i][j]
+			if g.Virtual != w.Virtual || g.MsgCRC != w.MsgCRC ||
+				!reflect.DeepEqual(g.Phases, w.Phases) || !reflect.DeepEqual(g.Counts, w.Counts) {
+				t.Errorf("%v op %d: concurrent report %+v differs from serial %+v", concurrentMix[i].d, j, g, w)
+			}
+			for p, d := range g.Phases {
+				sum.Add(p, d)
+			}
+			for c, n := range g.Counts {
+				sum.CountAdd(c, n)
+			}
+		}
+	}
+	total := lib.TotalBreakdown()
+	if !reflect.DeepEqual(total.Snapshot(), sum.Snapshot()) || !reflect.DeepEqual(total.Counts(), sum.Counts()) {
+		t.Errorf("lifetime total %v / %v is not the sum of the reports %v / %v",
+			total.Snapshot(), total.Counts(), sum.Snapshot(), sum.Counts())
 	}
 }
 
