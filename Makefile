@@ -3,8 +3,8 @@ GO ?= go
 # Packages exercised with the race detector: the concurrency-heavy layers
 # (engine queue + close protocol + watchdog, retry path, MPI runtime,
 # reliability sublayer, service admission control, breaker half-open
-# probes).
-RACE_PKGS = ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool
+# probes, concurrent operations inside one Library).
+RACE_PKGS = ./internal/core ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool
 
 # Per-target budget for the fuzz smoke pass (each Fuzz* function runs
 # this long beyond its seed corpus).
@@ -41,7 +41,7 @@ KERNEL_BENCH = { \
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/lz77 ./internal/huffman ./internal/sz3; \
 	$(GO) test -run='^$$' -bench='^(BenchmarkCompressChunk|BenchmarkDecompressChunk)$$' -benchmem .; }
 
-.PHONY: all build vet test race fuzz bench benchdiff check soak
+.PHONY: all build vet test race fuzz bench benchdiff wallbench check soak
 
 all: check
 
@@ -78,6 +78,15 @@ bench:
 # hot path started allocating).
 benchdiff:
 	$(KERNEL_BENCH) | $(GO) run ./cmd/benchdiff -check BENCH_kernels.json
+
+# The repo's wall-clock benchmark (BENCHMARK.json): every workload once,
+# end to end, appended to .bench_build/artifacts/results.jsonl for
+# `pedal-benchmark -compare`.
+WALLBENCH_WORKLOADS = lib-mixed-1m lib-bulk-8m lib-lossy-4m svc-rpc-4k svc-conc-1m mpi-pingpong-1m
+wallbench:
+	@set -e; for w in $(WALLBENCH_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0; \
+	done
 
 # Full-scale chaos soaks (fixed seed matrices): the engine fault-domain
 # sweep (stall/wedge/reset-fail over serial + pipelined paths), the

@@ -2,16 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"pedal/internal/checksum"
 	"pedal/internal/dpu"
-	"pedal/internal/flate"
 	"pedal/internal/hwmodel"
-	"pedal/internal/lz4"
+	"pedal/internal/pipeline"
 	"pedal/internal/stats"
 	"pedal/internal/sz3"
 	"pedal/internal/zlibfmt"
@@ -35,97 +32,212 @@ func (l *Library) Compress(d Design, dt DataType, data []byte) ([]byte, Report, 
 // operation checkpoints ctx on entry, inside the engine submit/wait
 // path, and before message assembly. Expired work is abandoned with a
 // typed dpu.ErrDeadline, pooled staging buffers are released, and the
-// abandonment is counted and traced. A background context takes exactly
-// the classic Compress path.
+// abandonment is counted and traced.
 func (l *Library) CompressContext(ctx context.Context, d Design, dt DataType, data []byte) ([]byte, Report, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, Report{}, ErrFinalized
+	if err := l.enter(); err != nil {
+		return nil, Report{}, err
 	}
-	ctx, cancel := l.withOpDeadline(ctx)
-	defer cancel()
-	defer l.setOpCtx(ctx)()
-	op, old := l.beginOp()
-	defer l.endOp(op, old)
-
+	defer l.mu.RUnlock()
 	rep := Report{Design: d, Engine: d.Engine, InBytes: len(data)}
-	if err := l.checkDeadline(op, "compress"); err != nil {
-		return nil, rep, err
-	}
-	var payload []byte
+	st := l.beginOp(ctx, &rep)
+	o := &st
+	defer l.endOp(o)
+
+	var msg []byte
 	var err error
-	switch d.Algo {
-	case AlgoDeflate:
-		payload, err = l.compressDeflate(op, d, &rep, data)
-	case AlgoZlib:
-		payload, err = l.compressZlib(op, d, &rep, data)
-	case AlgoLZ4:
-		payload, err = l.compressLZ4(op, d, &rep, data)
-	case AlgoSZ3:
-		payload, err = l.compressSZ3(op, d, &rep, dt, data)
-	case AlgoHybrid:
-		payload, err = l.compressHybrid(op, &rep, data)
-	default:
-		err = fmt.Errorf("core: unknown algorithm %v", d.Algo)
+	if d.Algo == AlgoHybrid {
+		// The hybrid design is the chunk pipeline with the engine on; it
+		// verifies per chunk and ships an AlgoPipelined message.
+		msg, err = l.compressPipelined(o, d, dt, data)
+	} else {
+		msg, err = l.compressSerial(o, d, dt, data)
 	}
 	if err != nil {
 		return nil, rep, err
 	}
+	// Source-side CRC: computed once here so every downstream hop —
+	// pipeline descriptor, transport frame, fleet response, checkpoint
+	// shard — can carry and check it instead of recomputing or trusting.
+	rep.MsgCRC = checksum.CRC32(msg)
+	o.finish()
+	return msg, rep, nil
+}
+
+// compressSerial compresses the whole message as one unit with d's
+// design, verifies it when the sampler elects it, and assembles the wire
+// message: PEDAL header | payload.
+func (l *Library) compressSerial(o *op, d Design, dt DataType, data []byte) ([]byte, error) {
+	if err := l.checkDeadline(o, "compress"); err != nil {
+		return nil, err
+	}
+	spec, err := l.codecSpec(d, dt)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := l.compressPayload(o, d, spec, data)
+	if err != nil {
+		return nil, err
+	}
 	// Deadline checkpoint between compression and verification/assembly:
 	// a caller that gave up mid-compression gets its typed abandonment
 	// now, with the payload staging buffer released rather than leaked.
-	if err := l.checkDeadline(op, "compress"); err != nil {
+	if err := l.checkDeadline(o, "compress"); err != nil {
 		l.pool.Put(payload)
-		return nil, rep, err
+		return nil, err
 	}
 	// Compute fault domain: software-produced payloads get their SDC
 	// injection here (the engine injects internally, pre-checksum); then
 	// the sampler decides whether this operation decode-verifies. A
 	// quarantined engine's output is always verified — those are the
 	// half-open probes that earn readmission.
-	if rep.Engine != hwmodel.CEngine {
+	if o.rep.Engine != hwmodel.CEngine {
 		l.injectSDC(payload)
 	}
-	if l.sampler.Hit() || (rep.Engine == hwmodel.CEngine && l.dev.CEngine().Quarantined()) {
-		payload, err = l.verifyCompressed(op, d, &rep, dt, data, payload)
+	if l.sampler.Hit() || (o.rep.Engine == hwmodel.CEngine && l.dev.CEngine().Quarantined()) {
+		payload, err = l.verifyCompressed(o, d, spec, data, payload)
 		if err != nil {
-			return nil, rep, err
+			return nil, err
 		}
 	}
-	msg := l.getBuf(headerLen + len(payload))
+	msg := l.pool.Get(headerLen + len(payload))
 	putHeader(msg, d.Algo)
 	copy(msg[headerLen:], payload)
-	rep.OutBytes = len(payload)
+	o.rep.OutBytes = len(payload)
 	// The payload staging buffer is dead after the copy; recycling it
 	// keeps the steady-state compress path allocation-free.
 	l.pool.Put(payload)
-	// Source-side CRC: computed once here so every downstream hop —
-	// pipeline descriptor, transport frame, fleet response, checkpoint
-	// shard — can carry and check it instead of recomputing or trusting.
-	rep.MsgCRC = checksum.CRC32(msg)
-	rep.Phases = op.Snapshot()
-	rep.Counts = op.Counts()
-	rep.Virtual = op.Total()
-	return msg, rep, nil
+	return msg, nil
 }
 
-// engineCompressDeflate runs DEFLATE compression on the preferred
-// hardware, handling staging, mapping and fallback; it is shared by the
-// DEFLATE, zlib and SZ3 hybrid paths.
-func (l *Library) engineCompressDeflate(op *stats.Breakdown, rep *Report, data []byte) ([]byte, error) {
+// codecSpec maps a design and datatype onto the codec table
+// (internal/pipeline) with the library's lossless level and lossy
+// configuration. Hybrid rides the deflate codec; SZ3 carries its fast
+// built-in backend (fastlz standing in for zstd).
+func (l *Library) codecSpec(d Design, dt DataType) (pipeline.Spec, error) {
+	spec := pipeline.Spec{Level: l.opts.Level}
+	switch d.Algo {
+	case AlgoDeflate, AlgoHybrid:
+		spec.Algo = pipeline.AlgoDeflate
+	case AlgoZlib:
+		spec.Algo = pipeline.AlgoZlib
+	case AlgoLZ4:
+		spec.Algo = pipeline.AlgoLZ4
+	case AlgoSZ3:
+		switch dt {
+		case TypeFloat32:
+			spec.Algo = pipeline.AlgoSZ3F32
+		case TypeFloat64:
+			spec.Algo = pipeline.AlgoSZ3F64
+		default:
+			return spec, fmt.Errorf("core: SZ3 requires float32 or float64 data, got %v", dt)
+		}
+		spec.SZ3 = sz3.Config{
+			ErrorBound: l.opts.ErrorBound,
+			Mode:       l.opts.SZ3Mode,
+			Predictor:  l.opts.SZ3Predictor,
+			Dims:       l.opts.SZ3Dims,
+			Backend:    sz3.BackendFastLZ,
+		}
+	default:
+		return spec, fmt.Errorf("core: unknown algorithm %v", d.Algo)
+	}
+	return spec, nil
+}
+
+// compressPayload produces d's compressed payload. What is core's own
+// lives here — which engine runs what, and the zlib and SZ3 splits that
+// put only their DEFLATE stage on the C-Engine; the codecs themselves
+// are the table's.
+func (l *Library) compressPayload(o *op, d Design, spec pipeline.Spec, data []byte) ([]byte, error) {
+	if d.Engine != hwmodel.CEngine {
+		return l.socCompress(o, d.Algo, spec, data)
+	}
+	switch d.Algo {
+	case AlgoDeflate:
+		return l.engineCompressDeflate(o, data)
+	case AlgoZlib:
+		// PEDAL's hybrid zlib (§III-C.1, Fig. 3): the DEFLATE body runs
+		// on the C-Engine while the SoC computes the RFC 1950 header and
+		// Adler-32 trailer.
+		body, err := l.engineCompressDeflate(o, data)
+		if err != nil {
+			return nil, err
+		}
+		o.bd.Add(stats.PhaseCompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(data)))
+		return zlibfmt.Assemble(l.opts.Level, body, data), nil
+	case AlgoSZ3:
+		// PEDAL-optimised SZ3 (§III-C.2, Fig. 4): the predict+quantize+
+		// encode core always runs on the SoC and produces the unwrapped
+		// core stream; only the DEFLATE backend stage is offloaded (SoC
+		// fallback on BF3). The receiver rebuilds an equivalent container
+		// around the core stream.
+		spec.SZ3.Backend = sz3.BackendNone
+		raw, err := l.socCompress(o, AlgoSZ3, spec, data)
+		if err != nil {
+			return nil, err
+		}
+		_, corePayload, err := sz3.SplitContainer(raw)
+		if err != nil {
+			return nil, err
+		}
+		body, err := l.engineCompressDeflate(o, corePayload)
+		if err != nil {
+			return nil, err
+		}
+		return sz3.BuildContainer(sz3.BackendDeflate, body), nil
+	default:
+		// No BlueField generation compresses LZ4 in hardware (Table II);
+		// a C-Engine preference always relegates to the SoC (§V-D:
+		// "BlueField-2, with its lack of support for LZ4 on its C-Engine,
+		// consequently relegates LZ4 compression to the SoC core").
+		o.rep.Engine = hwmodel.SoC
+		o.rep.Fallback = true
+		return l.socCompress(o, d.Algo, spec, data)
+	}
+}
+
+// socCompress runs algo's codec over data on the SoC and charges its
+// modelled time. SZ3's software backend stage is priced separately from
+// its core, over the ≈25% of the input the entropy-coded core stream
+// comes to on the paper's datasets (the real size is used for the data;
+// the estimate only prices the virtual backend stage).
+func (l *Library) socCompress(o *op, algo AlgoID, spec pipeline.Spec, data []byte) ([]byte, error) {
+	out, _, err := l.pl.Encode(spec, data)
+	if err != nil {
+		return nil, err
+	}
+	l.chargeSoCBufPrep(o, len(data))
+	if _, err := l.ctx.SoCRun(o.bd, algo.hwAlgo(), hwmodel.Compress, len(data)); err != nil {
+		return nil, err
+	}
+	if algo == AlgoSZ3 && spec.SZ3.Backend != sz3.BackendNone {
+		if _, err := l.ctx.SoCRun(o.bd, hwmodel.FastLZ, hwmodel.Compress, estimateCorePayload(len(data))); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// estimateCorePayload approximates the size of SZ3's entropy-coded core
+// stream for backend cost accounting.
+func estimateCorePayload(n int) int { return n / 4 }
+
+// engineCompressDeflate runs DEFLATE compression on the C-Engine,
+// handling staging, mapping and fallback; it is shared by the DEFLATE,
+// zlib and SZ3 engine designs.
+func (l *Library) engineCompressDeflate(o *op, data []byte) ([]byte, error) {
 	supported := l.dev.SupportsCEngine(hwmodel.Deflate, hwmodel.Compress)
 	var engineErr error
-	if supported && l.engineAllowed(op) {
-		staging, release := l.stage(op, data)
+	if supported && l.engineAllowed(o) {
+		staging, release := l.stage(o, data)
 		defer release()
-		res, err := l.ctx.SubmitCtx(l.curOpCtx(), hwmodel.Deflate, hwmodel.Compress, staging, 0)
-		l.noteEngineResult(op, err)
+		res, err := l.ctx.Submit(o.ctx, o.bd, hwmodel.Deflate, hwmodel.Compress, staging, 0)
+		l.noteEngineResult(o, err)
 		if err == nil {
-			rep.Engine = hwmodel.CEngine
+			o.rep.Engine = hwmodel.CEngine
 			return res.Output, nil
 		}
-		if cerr := l.checkDeadline(op, "engine-compress"); cerr != nil {
+		if cerr := l.checkDeadline(o, "engine-compress"); cerr != nil {
 			// The engine attempt died with the caller's deadline: abandon
 			// instead of burning the SoC fallback on unwanted work.
 			return nil, cerr
@@ -136,154 +248,28 @@ func (l *Library) engineCompressDeflate(op *stats.Breakdown, rep *Report, data [
 	// SoC fallback: static for a missing capability (BlueField-3's
 	// C-Engine cannot compress, §V-C), dynamic for a failing or
 	// breaker-opened engine.
-	rep.Engine = hwmodel.SoC
-	rep.Fallback = true
-	rep.Degraded = supported
+	o.rep.Engine = hwmodel.SoC
+	o.rep.Fallback = true
+	o.rep.Degraded = supported
 	if errors.Is(engineErr, dpu.ErrEngineLost) {
 		// The journaled job was lost to a stall/wedge; this SoC pass is
 		// its deterministic replay (same input, algo, op).
-		op.Inc(stats.CounterJobsReplayed)
+		o.bd.Inc(stats.CounterJobsReplayed)
 	}
-	l.chargeSoCBufPrep(op, len(data))
-	out := flate.AppendCompress(l.pool.GetCap(flate.CompressBound(len(data))), data, l.opts.Level)
-	if _, err := l.ctx.SoCRun(hwmodel.Deflate, hwmodel.Compress, len(data)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return l.socCompress(o, AlgoDeflate, pipeline.Spec{Algo: pipeline.AlgoDeflate, Level: l.opts.Level}, data)
 }
-
-func (l *Library) compressDeflate(op *stats.Breakdown, d Design, rep *Report, data []byte) ([]byte, error) {
-	if d.Engine == hwmodel.CEngine {
-		return l.engineCompressDeflate(op, rep, data)
-	}
-	l.chargeSoCBufPrep(op, len(data))
-	out := flate.AppendCompress(l.pool.GetCap(flate.CompressBound(len(data))), data, l.opts.Level)
-	if _, err := l.ctx.SoCRun(hwmodel.Deflate, hwmodel.Compress, len(data)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (l *Library) compressZlib(op *stats.Breakdown, d Design, rep *Report, data []byte) ([]byte, error) {
-	if d.Engine == hwmodel.CEngine {
-		// PEDAL's hybrid zlib (§III-C.1, Fig. 3): the DEFLATE body runs
-		// on the C-Engine while the SoC computes the RFC 1950 header and
-		// Adler-32 trailer.
-		body, err := l.engineCompressDeflate(op, rep, data)
-		if err != nil {
-			return nil, err
-		}
-		op.Add(stats.PhaseCompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(data)))
-		return zlibfmt.Assemble(l.opts.Level, body, data), nil
-	}
-	l.chargeSoCBufPrep(op, len(data))
-	out := zlibfmt.Compress(data, l.opts.Level)
-	if _, err := l.ctx.SoCRun(hwmodel.Zlib, hwmodel.Compress, len(data)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (l *Library) compressLZ4(op *stats.Breakdown, d Design, rep *Report, data []byte) ([]byte, error) {
-	// No BlueField generation compresses LZ4 in hardware (Table II);
-	// a C-Engine preference always relegates to the SoC (§V-D: "BlueField-2,
-	// with its lack of support for LZ4 on its C-Engine, consequently
-	// relegates LZ4 compression to the SoC core").
-	if d.Engine == hwmodel.CEngine {
-		rep.Engine = hwmodel.SoC
-		rep.Fallback = true
-	}
-	l.chargeSoCBufPrep(op, len(data))
-	out := lz4.AppendCompress(l.pool.GetCap(lz4.CompressBound(len(data))), data)
-	if _, err := l.ctx.SoCRun(hwmodel.LZ4, hwmodel.Compress, len(data)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (l *Library) compressSZ3(op *stats.Breakdown, d Design, rep *Report, dt DataType, data []byte) ([]byte, error) {
-	vals, err := bytesToFloats(dt, data)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sz3.Config{
-		ErrorBound: l.opts.ErrorBound,
-		Mode:       l.opts.SZ3Mode,
-		Predictor:  l.opts.SZ3Predictor,
-		Dims:       l.opts.SZ3Dims,
-	}
-	l.chargeSoCBufPrep(op, len(data))
-	// The predict+quantize+encode core always runs on the SoC; only the
-	// lossless backend stage is offloadable (§III-C.2, Fig. 4).
-	if _, err := l.ctx.SoCRun(hwmodel.SZ3Core, hwmodel.Compress, len(data)); err != nil {
-		return nil, err
-	}
-	if d.Engine == hwmodel.CEngine {
-		// PEDAL-optimised SZ3: produce the unwrapped core stream, then run
-		// the DEFLATE backend on the C-Engine (SoC fallback on BF3).
-		cfg.Backend = sz3.BackendNone
-		raw, err := compressSZ3Typed(dt, vals, data, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Unwrap the container so only the core stream feeds the backend;
-		// the receiver rebuilds an equivalent container around it.
-		_, corePayload, err := sz3.SplitContainer(raw)
-		if err != nil {
-			return nil, err
-		}
-		subRep := Report{}
-		body, err := l.engineCompressDeflate(op, &subRep, corePayload)
-		if err != nil {
-			return nil, err
-		}
-		rep.Engine = subRep.Engine
-		rep.Fallback = subRep.Fallback
-		rep.Degraded = subRep.Degraded
-		return sz3.BuildContainer(sz3.BackendDeflate, body), nil
-	}
-	// SoC design: SZ3 with its fast built-in backend (fastlz standing in
-	// for zstd).
-	cfg.Backend = sz3.BackendFastLZ
-	out, err := compressSZ3Typed(dt, vals, data, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := l.ctx.SoCRun(hwmodel.FastLZ, hwmodel.Compress, estimateCorePayload(len(data))); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// compressSZ3Typed dispatches to the typed SZ3 entry point.
-func compressSZ3Typed(dt DataType, vals []float64, raw []byte, cfg sz3.Config) ([]byte, error) {
-	if dt == TypeFloat32 {
-		f32 := make([]float32, len(vals))
-		for i, v := range vals {
-			f32[i] = float32(v)
-		}
-		return sz3.CompressFloat32(f32, cfg)
-	}
-	return sz3.CompressFloat64(vals, cfg)
-}
-
-// estimateCorePayload approximates the size of SZ3's entropy-coded core
-// stream for backend cost accounting (≈25% of the input for the paper's
-// datasets; the real size is used for the data, this only prices the
-// virtual backend stage).
-func estimateCorePayload(n int) int { return n / 4 }
 
 // stage copies data into a pre-mapped pool buffer for C-Engine
 // submission. In PEDAL mode the mapping was paid at Init and only a
 // memcpy is charged; in baseline mode the full allocation+mapping cost
 // recurs per message.
-func (l *Library) stage(op *stats.Breakdown, data []byte) ([]byte, func()) {
-	staging := l.getBuf(len(data))
+func (l *Library) stage(o *op, data []byte) ([]byte, func()) {
+	staging := l.pool.Get(len(data))
 	copy(staging, data)
 	if l.opts.Baseline {
-		op.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(l.dev.Generation(), hwmodel.CEngine, len(data)))
+		o.bd.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(l.dev.Generation(), hwmodel.CEngine, len(data)))
 	} else {
-		op.Add(stats.PhaseBufPrep, hwmodel.MemcpyCost(l.dev.Generation(), len(data)))
+		o.bd.Add(stats.PhaseBufPrep, hwmodel.MemcpyCost(l.dev.Generation(), len(data)))
 	}
 	_ = l.ctx.RegisterPrewarmed(staging)
 	return staging, func() {
@@ -294,50 +280,8 @@ func (l *Library) stage(op *stats.Breakdown, data []byte) ([]byte, func()) {
 
 // chargeSoCBufPrep charges SoC-side buffer acquisition: free at steady
 // state under PEDAL (pooled), a real allocation in baseline mode.
-func (l *Library) chargeSoCBufPrep(op *stats.Breakdown, n int) {
+func (l *Library) chargeSoCBufPrep(o *op, n int) {
 	if l.opts.Baseline {
-		op.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(l.dev.Generation(), hwmodel.SoC, n))
+		o.bd.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(l.dev.Generation(), hwmodel.SoC, n))
 	}
-}
-
-// bytesToFloats reinterprets raw little-endian bytes as float values.
-func bytesToFloats(dt DataType, data []byte) ([]float64, error) {
-	switch dt {
-	case TypeFloat32:
-		if len(data)%4 != 0 {
-			return nil, fmt.Errorf("core: float32 buffer length %d not a multiple of 4", len(data))
-		}
-		out := make([]float64, len(data)/4)
-		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[i*4:])))
-		}
-		return out, nil
-	case TypeFloat64:
-		if len(data)%8 != 0 {
-			return nil, fmt.Errorf("core: float64 buffer length %d not a multiple of 8", len(data))
-		}
-		out := make([]float64, len(data)/8)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("core: SZ3 requires float32 or float64 data, got %v", dt)
-	}
-}
-
-// floatsToBytes is the inverse of bytesToFloats.
-func floatsToBytes(dt DataType, vals []float64) []byte {
-	if dt == TypeFloat32 {
-		out := make([]byte, len(vals)*4)
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
-		}
-		return out
-	}
-	out := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
 }

@@ -175,9 +175,16 @@ func (r Report) Ratio() float64 {
 }
 
 // Library is an initialised PEDAL context: the analogue of the state
-// PEDAL_Init builds. It is safe for concurrent use.
+// PEDAL_Init builds. It is safe for concurrent use: operations share only
+// this Init-time environment, carry their own state in an op value, and
+// run in parallel.
 type Library struct {
-	mu   sync.Mutex
+	// mu is the lifecycle lock and guards only closed: every operation
+	// holds it shared for its duration, Finalize takes it exclusively and
+	// so waits for operations in flight.
+	mu     sync.RWMutex
+	closed bool
+
 	opts Options
 	dev  *dpu.Device
 	// ownDev records whether Finalize should close the device.
@@ -195,13 +202,7 @@ type Library struct {
 	// sdc is the silent-data-corruption injector shared with the
 	// C-Engine; the SoC compress producers consult it too so vectorized
 	// software kernels are faultable. Nil in production.
-	sdc    *faults.ComputeInjector
-	closed bool
-	// opCtx is the active operation's caller context (overload fault
-	// domain). l.mu serializes operations, so the engine-path helpers
-	// read it instead of threading a parameter through every signature;
-	// nil means background (the classic context-free entry points).
-	opCtx context.Context
+	sdc *faults.ComputeInjector
 }
 
 // ErrFinalized is returned by operations on a finalized library.
@@ -362,95 +363,87 @@ func (l *Library) PoolSnapshot() mempool.Snapshot { return l.pool.Snapshot() }
 // failures to assert aborted operations leak no pooled buffers.
 func (l *Library) PoolOutstanding() int64 { return l.pool.Outstanding() }
 
-// nopCancel is the no-allocation cancel returned when no implicit
-// deadline is applied.
+// enter takes the lifecycle lock for one operation; the caller releases
+// it with l.mu.RUnlock. Operations never call each other's public entry
+// points, so the shared lock is never acquired re-entrantly (which would
+// deadlock against a waiting Finalize).
+func (l *Library) enter() error {
+	l.mu.RLock()
+	if l.closed {
+		l.mu.RUnlock()
+		return ErrFinalized
+	}
+	return nil
+}
+
+// op is the state of one Compress or Decompress execution: the caller's
+// context, the breakdown the operation charges, and the report it fills.
+// It is created by beginOp, lives on the entry point's stack, and is
+// handed to every helper, so nothing an operation mutates lives on the
+// Library.
+type op struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	bd     *stats.Breakdown
+	rep    *Report
+}
+
+// nopCancel is the no-allocation cancel used when no implicit deadline
+// is applied.
 func nopCancel() {}
 
-// withOpDeadline applies the library's DefaultDeadline to a context that
-// carries none of its own. Callers must invoke the returned cancel.
-func (l *Library) withOpDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+// beginOp opens an operation: ctx gets the library's DefaultDeadline when
+// it carries none of its own, and accounting goes to a fresh breakdown
+// that endOp merges into the lifetime total.
+func (l *Library) beginOp(ctx context.Context, rep *Report) op {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	o := op{ctx: ctx, cancel: nopCancel, bd: stats.NewBreakdown(), rep: rep}
 	if l.opts.DefaultDeadline > 0 {
 		if _, ok := ctx.Deadline(); !ok {
-			return context.WithTimeout(ctx, l.opts.DefaultDeadline)
+			o.ctx, o.cancel = context.WithTimeout(ctx, l.opts.DefaultDeadline)
 		}
 	}
-	return ctx, nopCancel
+	if l.opts.Baseline {
+		// The baseline pays DOCA initialisation on every message (§V-D:
+		// "memory allocation and the DOCA initialization procedure are
+		// invoked during every message transmission").
+		o.bd.Add(stats.PhaseDOCAInit, hwmodel.InitCost(l.dev.Generation()))
+	}
+	return o
 }
 
-// setOpCtx installs ctx as the active operation's context (callers hold
-// l.mu) and returns a restore func for the previous value. Background
-// contexts are stored as nil so the hot paths skip all checkpointing.
-func (l *Library) setOpCtx(ctx context.Context) func() {
-	prev := l.opCtx
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
-	l.opCtx = ctx
-	return func() { l.opCtx = prev }
+// endOp closes an operation, successful or not: the lifetime total
+// absorbs whatever it charged.
+func (l *Library) endOp(o *op) {
+	o.cancel()
+	l.total.Merge(o.bd)
 }
 
-// curOpCtx returns the active operation's context (callers hold l.mu).
-func (l *Library) curOpCtx() context.Context {
-	if l.opCtx != nil {
-		return l.opCtx
-	}
-	return context.Background()
+// finish writes the operation's account into its report; the success
+// paths call it once all charges are in.
+func (o *op) finish() {
+	o.rep.Phases = o.bd.Snapshot()
+	o.rep.Counts = o.bd.Counts()
+	o.rep.Virtual = o.bd.Total()
 }
 
-// checkDeadline is a deadline checkpoint: when the active operation's
-// context has expired it counts the abandonment, traces it, and returns
-// the typed error the caller must propagate after releasing any pooled
-// buffers it holds. A nil/background context costs one nil check.
-func (l *Library) checkDeadline(op *stats.Breakdown, where string) error {
-	if l.opCtx == nil {
-		return nil
-	}
-	err := l.opCtx.Err()
+// checkDeadline is a deadline checkpoint: when the operation's context
+// has expired it counts the abandonment, traces it, and returns the typed
+// error the caller must propagate after releasing any pooled buffers it
+// holds.
+func (l *Library) checkDeadline(o *op, where string) error {
+	err := o.ctx.Err()
 	if err == nil {
 		return nil
 	}
-	op.Inc(stats.CounterDeadlineAbandoned)
+	o.bd.Inc(stats.CounterDeadlineAbandoned)
 	if tr := l.dev.CEngine().Tracer(); tr != nil {
 		tr.Record(trace.Event{Engine: "core", Op: "deadline_abandoned", Algo: where, Err: err.Error()})
 	}
 	return fmt.Errorf("core: %s abandoned at deadline checkpoint: %w: %v", where, dpu.ErrDeadline, err)
 }
-
-// beginOp redirects accounting to a fresh per-op breakdown. Callers must
-// hold l.mu and call endOp with the returned values.
-func (l *Library) beginOp() (*stats.Breakdown, *stats.Breakdown) {
-	op := stats.NewBreakdown()
-	old := l.ctx.SwapBreakdown(op)
-	if l.opts.Baseline {
-		// The baseline pays DOCA initialisation on every message (§V-D:
-		// "memory allocation and the DOCA initialization procedure are
-		// invoked during every message transmission").
-		op.Add(stats.PhaseDOCAInit, hwmodel.InitCost(l.dev.Generation()))
-	}
-	return op, old
-}
-
-func (l *Library) endOp(op, old *stats.Breakdown) {
-	l.ctx.SwapBreakdown(old)
-	l.total.Merge(op)
-}
-
-// chargeBufPrep models buffer acquisition for n bytes. PEDAL's pooled
-// buffers cost nothing at steady state; the baseline re-allocates and
-// re-maps per message.
-func (l *Library) chargeBufPrep(op *stats.Breakdown, engine hwmodel.Engine, n int) {
-	if !l.opts.Baseline {
-		return
-	}
-	op.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(l.dev.Generation(), engine, n))
-}
-
-// getBuf takes a pooled buffer; Release returns message buffers to the
-// pool for reuse.
-func (l *Library) getBuf(n int) []byte { return l.pool.Get(n) }
 
 // Release returns a buffer obtained from Compress or Decompress to the
 // memory pool. Optional: the GC collects unreleased buffers, but
@@ -465,30 +458,22 @@ func (l *Library) Breaker() *faults.Breaker { return l.breaker }
 // breaker before a C-Engine attempt. A rejection means the engine is
 // resetting/degraded or the breaker is open: the operation degrades
 // straight to the SoC and is counted.
-func (l *Library) engineAllowed(op *stats.Breakdown) bool {
-	if l.dev.CEngine().State() != dpu.EngineLive {
-		op.Inc(stats.CounterDegradedOps)
-		return false
-	}
+func (l *Library) engineAllowed(o *op) bool {
+	eng := l.dev.CEngine()
 	// Integrity quarantine: an engine with a verified-mismatch streak is
 	// held on the scalar/SoC path, with half-open probes letting it earn
 	// readmission once its output verifies clean again.
-	if !l.dev.CEngine().IntegrityAllow() {
-		op.Inc(stats.CounterDegradedOps)
-		return false
-	}
-	if l.breaker == nil || l.breaker.Allow() {
+	if eng.State() == dpu.EngineLive && eng.IntegrityAllow() && (l.breaker == nil || l.breaker.Allow()) {
 		return true
 	}
-	op.Inc(stats.CounterDegradedOps)
+	o.bd.Inc(stats.CounterDegradedOps)
 	return false
 }
 
 // onEngineEvent is the C-Engine fault-domain hook: it mirrors watchdog
 // transitions into the lifetime counters and performs the DOCA re-open
-// half of a hot-reset. It runs on the watchdog goroutine and must not
-// take l.mu — the operation holding l.mu may be blocked waiting for this
-// very watchdog pass to fail its stalled job.
+// half of a hot-reset. It runs on the watchdog goroutine, belongs to no
+// operation, and so charges the lifetime total directly.
 func (l *Library) onEngineEvent(ev dpu.EngineEvent) {
 	switch ev.Kind {
 	case dpu.EventStallDetected:
@@ -513,10 +498,10 @@ func (l *Library) EngineHealth() dpu.EngineHealth { return l.dev.CEngine().Healt
 // noteEngineResult feeds a C-Engine submission outcome to the breaker
 // and counters. Capability misses (ErrUnsupported) are static conditions
 // and never count as engine failures.
-func (l *Library) noteEngineResult(op *stats.Breakdown, err error) {
+func (l *Library) noteEngineResult(o *op, err error) {
 	if err == nil {
 		if l.breaker.Success() {
-			op.Inc(stats.CounterBreakerRecoveries)
+			o.bd.Inc(stats.CounterBreakerRecoveries)
 			l.traceBreaker("closed", "engine recovered")
 		}
 		return
@@ -524,15 +509,15 @@ func (l *Library) noteEngineResult(op *stats.Breakdown, err error) {
 	if errors.Is(err, dpu.ErrUnsupported) {
 		return
 	}
-	if errors.Is(err, dpu.ErrDeadline) && l.opCtx != nil && l.opCtx.Err() != nil {
+	if errors.Is(err, dpu.ErrDeadline) && o.ctx.Err() != nil {
 		// The caller's deadline expired mid-wait: an abandonment, not an
 		// engine fault — feeding it to the breaker would let a deadline
 		// storm trip the engine open while the hardware is healthy.
 		return
 	}
-	op.Inc(stats.CounterEngineFailures)
+	o.bd.Inc(stats.CounterEngineFailures)
 	if l.breaker.Failure() {
-		op.Inc(stats.CounterBreakerTrips)
+		o.bd.Inc(stats.CounterBreakerTrips)
 		l.traceBreaker("open", err.Error())
 	}
 }

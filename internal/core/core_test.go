@@ -65,6 +65,23 @@ func TestHeaderFormat(t *testing.T) {
 	if len(body) != len(msg)-3 {
 		t.Fatal("body length wrong")
 	}
+	// What Decompress does with a header it cannot decode: anything that
+	// is not a PEDAL header is uncompressed data by protocol, but the
+	// retired hybrid AlgoID is a compressed message and must be refused.
+	for _, c := range []struct {
+		name    string
+		msg     []byte
+		wantErr error
+	}{
+		{"no indicators", []byte("plain payload"), nil},
+		{"unassigned AlgoID", []byte{0xFF, 9, 0xFF, 1, 2, 3}, nil},
+		{"retired hybrid AlgoID", []byte{0xFF, byte(AlgoHybrid), 0xFF, 1, 2, 3}, ErrRetiredAlgo},
+	} {
+		out, _, err := lib.Decompress(hwmodel.SoC, TypeBytes, c.msg, 0)
+		if !errors.Is(err, c.wantErr) || (c.wantErr == nil && !bytes.Equal(out, c.msg)) {
+			t.Errorf("%s: got %q, %v; want error %v", c.name, out, err, c.wantErr)
+		}
+	}
 }
 
 func TestUncompressedPassthrough(t *testing.T) {

@@ -7,13 +7,16 @@ import (
 
 	"pedal/internal/checksum"
 	"pedal/internal/dpu"
-	"pedal/internal/flate"
 	"pedal/internal/hwmodel"
-	"pedal/internal/lz4"
+	"pedal/internal/pipeline"
 	"pedal/internal/stats"
 	"pedal/internal/sz3"
 	"pedal/internal/zlibfmt"
 )
+
+// ErrRetiredAlgo rejects a message whose header names an AlgoID this
+// library no longer decodes (5, the former hybrid frame format).
+var ErrRetiredAlgo = errors.New("core: retired AlgoID")
 
 // Decompress is PEDAL_decompress: it parses the PEDAL header of a
 // received message, selects the matching decompression design, and
@@ -32,14 +35,12 @@ func (l *Library) Decompress(engine hwmodel.Engine, dt DataType, msg []byte, max
 
 // DecompressContext is Decompress bounded by a caller deadline: entry
 // and engine submit/wait checkpoints abandon expired work with a typed
-// dpu.ErrDeadline (counted and traced as deadline_abandoned). A
-// background context takes exactly the classic Decompress path.
+// dpu.ErrDeadline (counted and traced as deadline_abandoned).
 func (l *Library) DecompressContext(ctx context.Context, engine hwmodel.Engine, dt DataType, msg []byte, maxOutput int) ([]byte, Report, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, Report{}, ErrFinalized
+	if err := l.enter(); err != nil {
+		return nil, Report{}, err
 	}
+	defer l.mu.RUnlock()
 	algo, body, err := ParseHeader(msg)
 	if err != nil {
 		// Uncompressed passthrough (paper Fig. 5: the indicators tell the
@@ -49,33 +50,24 @@ func (l *Library) DecompressContext(ctx context.Context, engine hwmodel.Engine, 
 	if maxOutput <= 0 {
 		maxOutput = 1 << 30
 	}
-	octx, cancel := l.withOpDeadline(ctx)
-	defer cancel()
-	defer l.setOpCtx(octx)()
-	op, old := l.beginOp()
-	defer l.endOp(op, old)
+	rep := Report{Design: Design{Algo: algo, Engine: engine}, Engine: engine, InBytes: len(body)}
+	st := l.beginOp(ctx, &rep)
+	o := &st
+	defer l.endOp(o)
 
-	d := Design{Algo: algo, Engine: engine}
-	rep := Report{Design: d, Engine: engine, InBytes: len(body)}
-	if err := l.checkDeadline(op, "decompress"); err != nil {
+	if err := l.checkDeadline(o, "decompress"); err != nil {
 		return nil, rep, err
 	}
 	var out []byte
 	switch algo {
-	case AlgoDeflate:
-		out, err = l.decompressDeflate(op, &rep, body, maxOutput)
-	case AlgoZlib:
-		out, err = l.decompressZlib(op, &rep, body, maxOutput)
-	case AlgoLZ4:
-		out, err = l.decompressLZ4(op, &rep, body, maxOutput)
+	case AlgoDeflate, AlgoZlib, AlgoLZ4:
+		out, err = l.decompressLossless(o, algo, body, maxOutput)
 	case AlgoSZ3:
-		out, err = l.decompressSZ3(op, &rep, dt, body, maxOutput)
-	case AlgoHybrid:
-		out, err = l.decompressHybrid(op, &rep, body, maxOutput)
+		out, err = l.decompressSZ3(o, dt, body, maxOutput)
 	case AlgoPipelined:
-		out, err = l.decompressPipelined(op, &rep, body, maxOutput)
+		out, err = l.decompressPipelined(o, body, maxOutput)
 	default:
-		err = fmt.Errorf("core: unknown AlgoID %d", algo)
+		err = fmt.Errorf("%w %d", ErrRetiredAlgo, algo)
 	}
 	if err != nil {
 		return nil, rep, err
@@ -83,153 +75,115 @@ func (l *Library) DecompressContext(ctx context.Context, engine hwmodel.Engine, 
 	rep.OutBytes = len(out)
 	// Expanded-output CRC for hop carrying (mirrors Compress.MsgCRC).
 	rep.MsgCRC = checksum.CRC32(out)
-	rep.Phases = op.Snapshot()
-	rep.Counts = op.Counts()
-	rep.Virtual = op.Total()
+	o.finish()
 	return out, rep, nil
 }
 
-// engineDecompress runs a raw DEFLATE or LZ4-frame decompression on the
-// preferred engine with SoC fallback.
-func (l *Library) engineDecompress(op *stats.Breakdown, rep *Report, algo hwmodel.Algo, body []byte, maxOutput int) ([]byte, error) {
-	supported := rep.Engine == hwmodel.CEngine && l.dev.SupportsCEngine(algo, hwmodel.Decompress)
-	var engineErr error
-	if supported && l.engineAllowed(op) {
-		staging, release := l.stage(op, body)
-		defer release()
-		res, err := l.ctx.SubmitCtx(l.curOpCtx(), algo, hwmodel.Decompress, staging, maxOutput)
-		l.noteEngineResult(op, err)
-		if err == nil {
-			rep.Engine = hwmodel.CEngine
-			return res.Output, nil
-		}
-		if cerr := l.checkDeadline(op, "engine-decompress"); cerr != nil {
-			return nil, cerr
-		}
-		engineErr = err
-	}
-	if rep.Engine == hwmodel.CEngine {
-		rep.Engine = hwmodel.SoC
-		rep.Fallback = true
-		rep.Degraded = supported
-	}
-	if errors.Is(engineErr, dpu.ErrEngineLost) {
-		// Journal replay: the lost engine job re-executes below on the
-		// SoC from the same input.
-		op.Inc(stats.CounterJobsReplayed)
-	}
-	l.chargeSoCBufPrep(op, maxOutput)
-	var out []byte
-	var err error
-	switch algo {
-	case hwmodel.Deflate:
-		out, err = flate.DecompressLimit(body, maxOutput)
-	case hwmodel.LZ4:
-		out, err = lz4.DecompressLimit(body, maxOutput)
-	default:
-		return nil, fmt.Errorf("core: engineDecompress does not handle %v", algo)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Software decompression time also scales with the expanded output.
-	if _, err := l.ctx.SoCRun(algo, hwmodel.Decompress, len(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (l *Library) decompressDeflate(op *stats.Breakdown, rep *Report, body []byte, maxOutput int) ([]byte, error) {
-	return l.engineDecompress(op, rep, hwmodel.Deflate, body, maxOutput)
-}
-
-func (l *Library) decompressZlib(op *stats.Breakdown, rep *Report, body []byte, maxOutput int) ([]byte, error) {
-	if rep.Engine == hwmodel.CEngine {
-		// Hybrid: strip the RFC 1950 framing on the SoC, inflate the body
-		// on the C-Engine, verify the Adler-32 trailer on the SoC.
+// decompressLossless expands a DEFLATE, zlib or LZ4 body on the
+// preferred engine with SoC fallback. DEFLATE and LZ4 frames go to the
+// C-Engine as they are (where the generation has the path, Table II);
+// zlib is PEDAL's split: the SoC strips the RFC 1950 framing, the engine
+// inflates the body, the SoC verifies the Adler-32 trailer.
+func (l *Library) decompressLossless(o *op, algo AlgoID, body []byte, maxOutput int) ([]byte, error) {
+	if algo == AlgoZlib && o.rep.Engine == hwmodel.CEngine {
 		deflateBody, err := zlibfmt.Body(body)
 		if err != nil {
 			return nil, err
 		}
-		out, err := l.engineDecompress(op, rep, hwmodel.Deflate, deflateBody, maxOutput)
+		out, err := l.decompressLossless(o, AlgoDeflate, deflateBody, maxOutput)
 		if err != nil {
 			return nil, err
 		}
-		op.Add(stats.PhaseDecompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(out)))
+		o.bd.Add(stats.PhaseDecompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(out)))
 		if err := zlibfmt.VerifyTrailer(body, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	l.chargeSoCBufPrep(op, maxOutput)
-	out, err := zlibfmt.DecompressLimit(body, maxOutput)
+	hw := algo.hwAlgo()
+	supported := o.rep.Engine == hwmodel.CEngine && l.dev.SupportsCEngine(hw, hwmodel.Decompress)
+	var engineErr error
+	if supported && l.engineAllowed(o) {
+		staging, release := l.stage(o, body)
+		defer release()
+		res, err := l.ctx.Submit(o.ctx, o.bd, hw, hwmodel.Decompress, staging, maxOutput)
+		l.noteEngineResult(o, err)
+		if err == nil {
+			return res.Output, nil
+		}
+		if cerr := l.checkDeadline(o, "engine-decompress"); cerr != nil {
+			return nil, cerr
+		}
+		engineErr = err
+	}
+	if o.rep.Engine == hwmodel.CEngine {
+		o.rep.Engine = hwmodel.SoC
+		o.rep.Fallback = true
+		o.rep.Degraded = supported
+	}
+	if errors.Is(engineErr, dpu.ErrEngineLost) {
+		// Journal replay: the lost engine job re-executes below on the
+		// SoC from the same input.
+		o.bd.Inc(stats.CounterJobsReplayed)
+	}
+	spec, err := l.codecSpec(Design{Algo: algo}, TypeBytes)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := l.ctx.SoCRun(hwmodel.Zlib, hwmodel.Decompress, len(out)); err != nil {
+	l.chargeSoCBufPrep(o, maxOutput)
+	out, err := pipeline.Decode(spec.Algo, nil, body, maxOutput)
+	if err != nil {
+		return nil, err
+	}
+	// Software decompression time also scales with the expanded output.
+	if _, err := l.ctx.SoCRun(o.bd, hw, hwmodel.Decompress, len(out)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func (l *Library) decompressLZ4(op *stats.Breakdown, rep *Report, body []byte, maxOutput int) ([]byte, error) {
-	return l.engineDecompress(op, rep, hwmodel.LZ4, body, maxOutput)
-}
-
-func (l *Library) decompressSZ3(op *stats.Breakdown, rep *Report, dt DataType, body []byte, maxOutput int) ([]byte, error) {
+func (l *Library) decompressSZ3(o *op, dt DataType, body []byte, maxOutput int) ([]byte, error) {
+	spec, err := l.codecSpec(Design{Algo: AlgoSZ3}, dt)
+	if err != nil {
+		return nil, err
+	}
 	backend, inner, err := sz3.SplitContainer(body)
 	if err != nil {
 		return nil, err
 	}
 	stream := body
 	chargeSoCBackend := false
-	if rep.Engine == hwmodel.CEngine && backend == sz3.BackendDeflate {
+	if o.rep.Engine == hwmodel.CEngine && backend == sz3.BackendDeflate {
 		// Run the backend stage on the C-Engine, then hand the unwrapped
 		// core stream to the SZ3 decoder.
-		raw, err := l.engineDecompress(op, rep, hwmodel.Deflate, inner, maxOutput*8)
+		raw, err := l.decompressLossless(o, AlgoDeflate, inner, maxOutput*8)
 		if err != nil {
 			return nil, err
 		}
 		stream = sz3.BuildContainer(sz3.BackendNone, raw)
 	} else {
-		if rep.Engine == hwmodel.CEngine {
-			rep.Engine = hwmodel.SoC
-			rep.Fallback = true
+		if o.rep.Engine == hwmodel.CEngine {
+			o.rep.Engine = hwmodel.SoC
+			o.rep.Fallback = true
 		}
 		// The software backend stage is charged after decode, when the
 		// expanded core-stream size is known.
 		chargeSoCBackend = backend != sz3.BackendNone
 	}
 	// The predict/quantize inverse always runs on the SoC.
-	var out []byte
-	if dt == TypeFloat32 {
-		vals, _, err := sz3.DecompressFloat32(stream)
-		if err != nil {
-			return nil, err
-		}
-		f64 := make([]float64, len(vals))
-		for i, v := range vals {
-			f64[i] = float64(v)
-		}
-		out = floatsToBytes(TypeFloat32, f64)
-	} else if dt == TypeFloat64 {
-		vals, _, err := sz3.DecompressFloat64(stream)
-		if err != nil {
-			return nil, err
-		}
-		out = floatsToBytes(TypeFloat64, vals)
-	} else {
-		return nil, fmt.Errorf("core: SZ3 payload needs a float datatype, got %v", dt)
+	out, err := pipeline.Decode(spec.Algo, nil, stream, maxOutput)
+	if err != nil {
+		return nil, err
 	}
 	if len(out) > maxOutput {
 		return nil, fmt.Errorf("core: decompressed %d bytes exceed receive buffer %d", len(out), maxOutput)
 	}
 	if chargeSoCBackend {
-		if _, err := l.ctx.SoCRun(backendAlgo(backend), hwmodel.Decompress, estimateCorePayload(len(out))); err != nil {
+		if _, err := l.ctx.SoCRun(o.bd, backendAlgo(backend), hwmodel.Decompress, estimateCorePayload(len(out))); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := l.ctx.SoCRun(hwmodel.SZ3Core, hwmodel.Decompress, len(out)); err != nil {
+	if _, err := l.ctx.SoCRun(o.bd, hwmodel.SZ3Core, hwmodel.Decompress, len(out)); err != nil {
 		return nil, err
 	}
 	return out, nil

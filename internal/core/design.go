@@ -26,6 +26,18 @@ const (
 	AlgoSZ3
 )
 
+// AlgoHybrid selects the hybrid design, the extension the paper sketches
+// in §V-C.2 and recommends in §VI: SoC cores and C-Engine working on one
+// message in parallel. It is a design selector only — the hybrid runs as
+// pipelined DEFLATE with the engine on and ships an AlgoPipelined message.
+// On the wire the value stays reserved: it named a frame format this
+// library no longer produces, and Decompress rejects it with
+// ErrRetiredAlgo rather than mistaking the message for uncompressed data.
+const AlgoHybrid AlgoID = 5
+
+// DesignHybrid returns the hybrid design descriptor.
+func DesignHybrid() Design { return Design{Algo: AlgoHybrid, Engine: hwmodel.CEngine} }
+
 func (a AlgoID) String() string {
 	switch a {
 	case AlgoDeflate:

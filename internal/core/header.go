@@ -29,7 +29,9 @@ func putHeader(dst []byte, algo AlgoID) {
 // ParseHeader inspects a received payload. If it carries a valid PEDAL
 // header it returns the algorithm and the compressed body; otherwise it
 // returns ErrNoHeader and the caller should treat the whole payload as
-// uncompressed data.
+// uncompressed data. The retired AlgoHybrid value still parses as a
+// header, so such a message is rejected by Decompress instead of being
+// passed through as data.
 func ParseHeader(msg []byte) (AlgoID, []byte, error) {
 	if len(msg) < headerLen || msg[0] != headerIndicator || msg[2] != headerIndicator {
 		return 0, nil, ErrNoHeader

@@ -7,6 +7,10 @@ import (
 	"pedal/internal/hwmodel"
 )
 
+// The hybrid design (§V-C.2 / §VI) executes as pipelined DEFLATE with the
+// engine on; these tests drive it through Compress, the entry point its
+// callers use.
+
 func TestHybridRoundTrip(t *testing.T) {
 	for _, gen := range []hwmodel.Generation{hwmodel.BlueField2, hwmodel.BlueField3} {
 		lib := newLib(t, gen)
@@ -39,8 +43,8 @@ func TestHybridHeaderAlgoID(t *testing.T) {
 		t.Fatal(err)
 	}
 	algo, _, err := ParseHeader(msg)
-	if err != nil || algo != AlgoHybrid {
-		t.Fatalf("header algo %v err %v", algo, err)
+	if err != nil || algo != AlgoPipelined {
+		t.Fatalf("header algo %v err %v, want the pipelined wire format", algo, err)
 	}
 }
 
@@ -91,14 +95,14 @@ func TestHybridCorruptFrame(t *testing.T) {
 	}
 	// Truncate mid-frame.
 	if _, _, err := lib.Decompress(hwmodel.CEngine, TypeBytes, msg[:len(msg)/2], 4<<20); err == nil {
-		t.Fatal("truncated hybrid frame accepted")
+		t.Fatal("truncated hybrid message accepted")
 	}
-	// Corrupt the chunk count.
+	// Corrupt the descriptor's chunk count.
 	bad := append([]byte{}, msg...)
-	bad[HeaderLen] = 0xFF
 	bad[HeaderLen+1] = 0xFF
+	bad[HeaderLen+2] = 0xFF
 	if _, _, err := lib.Decompress(hwmodel.CEngine, TypeBytes, bad, 4<<20); err == nil {
-		t.Fatal("corrupt hybrid header accepted")
+		t.Fatal("corrupt hybrid descriptor accepted")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"pedal/internal/integrity"
 	"pedal/internal/pipeline"
 	"pedal/internal/stats"
-	"pedal/internal/sz3"
 )
 
 // AlgoPipelined marks a chunked-pipeline payload: a stream descriptor
@@ -22,52 +21,24 @@ import (
 // AlgoID covers every design routed through the pipeline.
 const AlgoPipelined AlgoID = 6
 
-// pipelineSpec maps a PEDAL design and datatype onto the chunk
-// pipeline's codec spec. Hybrid rides the deflate engine split; zlib and
-// LZ4 compress on the SoC (LZ4 still decompresses on BlueField-3's
-// engine); SZ3 runs its SoC core with the FastLZ backend per chunk.
-func (l *Library) pipelineSpec(d Design, dt DataType) (pipeline.Spec, error) {
-	spec := pipeline.Spec{
-		Engine:        d.Engine == hwmodel.CEngine || d.Algo == AlgoHybrid,
-		Level:         l.opts.Level,
-		Verify:        l.opts.Verify,
-		VerifySampleN: l.opts.VerifySampleN,
-		SDC:           l.sdc,
-	}
-	switch d.Algo {
-	case AlgoDeflate, AlgoHybrid:
-		spec.Algo = pipeline.AlgoDeflate
-	case AlgoZlib:
-		spec.Algo = pipeline.AlgoZlib
-	case AlgoLZ4:
-		spec.Algo = pipeline.AlgoLZ4
-	case AlgoSZ3:
-		switch dt {
-		case TypeFloat32:
-			spec.Algo = pipeline.AlgoSZ3F32
-		case TypeFloat64:
-			spec.Algo = pipeline.AlgoSZ3F64
-		default:
-			return spec, fmt.Errorf("core: SZ3 pipeline requires float data, got %v", dt)
-		}
-		// Chunks are independent 1-D streams; the multi-dim shape cannot
-		// survive chunking, so the per-chunk config drops Dims.
-		spec.SZ3 = sz3.Config{
-			ErrorBound: l.opts.ErrorBound,
-			Mode:       l.opts.SZ3Mode,
-			Predictor:  l.opts.SZ3Predictor,
-			Backend:    sz3.BackendFastLZ,
-		}
-	default:
-		return spec, fmt.Errorf("core: design %v has no pipeline mapping", d.Algo)
-	}
-	return spec, nil
-}
-
-// PipelineSpec exposes the design→pipeline mapping for the MPI runtime,
-// which streams chunks over the wire itself.
+// PipelineSpec maps a PEDAL design and datatype onto the chunk pipeline's
+// spec (the MPI runtime, which streams chunks over the wire itself, uses
+// it too). Hybrid rides the deflate engine split; zlib and LZ4 compress
+// on the SoC (LZ4 still decompresses on BlueField-3's engine); SZ3 runs
+// its SoC core with the FastLZ backend per chunk.
 func (l *Library) PipelineSpec(d Design, dt DataType) (pipeline.Spec, error) {
-	return l.pipelineSpec(d, dt)
+	spec, err := l.codecSpec(d, dt)
+	if err != nil {
+		return spec, err
+	}
+	spec.Engine = d.Engine == hwmodel.CEngine || d.Algo == AlgoHybrid
+	spec.Verify = l.opts.Verify
+	spec.VerifySampleN = l.opts.VerifySampleN
+	spec.SDC = l.sdc
+	// Chunks are independent 1-D streams; the multi-dim shape cannot
+	// survive chunking, so the per-chunk config drops Dims.
+	spec.SZ3.Dims = nil
+	return spec, nil
 }
 
 // Pipeline exposes the library's chunk pipeline.
@@ -90,27 +61,34 @@ func (l *Library) CompressPipelined(d Design, dt DataType, data []byte) ([]byte,
 // CompressPipelinedContext is CompressPipelined bounded by a caller
 // deadline: the pipeline's dispatch and delivery loops checkpoint ctx
 // per chunk, expired operations abandon with a typed dpu.ErrDeadline,
-// and the partially-assembled output buffer returns to the pool. A
-// background context takes exactly the classic path.
+// and the partially-assembled output buffer returns to the pool.
 func (l *Library) CompressPipelinedContext(ctx context.Context, d Design, dt DataType, data []byte) ([]byte, Report, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, Report{}, ErrFinalized
+	if err := l.enter(); err != nil {
+		return nil, Report{}, err
 	}
-	octx, cancel := l.withOpDeadline(ctx)
-	defer cancel()
-	defer l.setOpCtx(octx)()
-	op, old := l.beginOp()
-	defer l.endOp(op, old)
-
-	rep := Report{Design: d, Engine: hwmodel.SoC, InBytes: len(data)}
-	if err := l.checkDeadline(op, "compress-pipelined"); err != nil {
-		return nil, rep, err
-	}
-	spec, err := l.pipelineSpec(d, dt)
+	defer l.mu.RUnlock()
+	rep := Report{Design: d, InBytes: len(data)}
+	st := l.beginOp(ctx, &rep)
+	o := &st
+	defer l.endOp(o)
+	msg, err := l.compressPipelined(o, d, dt, data)
 	if err != nil {
 		return nil, rep, err
+	}
+	o.finish()
+	return msg, rep, nil
+}
+
+// compressPipelined runs one operation through the chunk pipeline and
+// assembles the wire message; Compress routes the hybrid design here.
+func (l *Library) compressPipelined(o *op, d Design, dt DataType, data []byte) ([]byte, error) {
+	o.rep.Engine = hwmodel.SoC
+	if err := l.checkDeadline(o, "compress-pipelined"); err != nil {
+		return nil, err
+	}
+	spec, err := l.PipelineSpec(d, dt)
+	if err != nil {
+		return nil, err
 	}
 	// Pin the chunk size so the descriptor and the execution agree.
 	spec.ChunkSize = l.pl.ChunkSizeFor(len(data), spec)
@@ -118,7 +96,7 @@ func (l *Library) CompressPipelinedContext(ctx context.Context, d Design, dt Dat
 	if len(data) > 0 {
 		count = (len(data) + spec.ChunkSize - 1) / spec.ChunkSize
 	}
-	l.chargeSoCBufPrep(op, len(data))
+	l.chargeSoCBufPrep(o, len(data))
 	// The descriptor carries the source payload CRC only under
 	// VerifyFull — and even then no serial digest pass runs here: the
 	// pipeline workers each CRC their own chunk alongside the
@@ -130,7 +108,7 @@ func (l *Library) CompressPipelinedContext(ctx context.Context, d Design, dt Dat
 	out = append(out, headerIndicator, byte(AlgoPipelined), headerIndicator)
 	out = pipeline.AppendDescriptor(out, spec.Algo, count, spec.ChunkSize, len(data), 0)
 	descEnd := len(out)
-	sum, err := l.pl.CompressContext(l.curOpCtx(), data, spec, func(ch pipeline.Chunk) error {
+	sum, err := l.pl.CompressContext(o.ctx, data, spec, func(ch pipeline.Chunk) error {
 		out = pipeline.AppendChunkFrame(out, ch.Index, ch.OrigLen, ch.CRC, ch.Data)
 		return nil
 	})
@@ -140,35 +118,31 @@ func (l *Library) CompressPipelinedContext(ctx context.Context, d Design, dt Dat
 		// deadline storm.
 		l.pool.Put(out)
 		if errors.Is(err, dpu.ErrDeadline) {
-			op.Inc(stats.CounterDeadlineAbandoned)
+			o.bd.Inc(stats.CounterDeadlineAbandoned)
 		}
-		return nil, rep, err
+		return nil, err
 	}
 	binary.LittleEndian.PutUint32(out[descEnd-4:descEnd], sum.SrcCRC)
-	op.Add(stats.PhaseCompress, sum.Makespan)
-	if sum.Replayed > 0 {
-		op.CountAdd(stats.CounterJobsReplayed, uint64(sum.Replayed))
-	}
-	if sum.VerifyMismatches > 0 {
-		op.CountAdd(stats.CounterVerifyMismatches, uint64(sum.VerifyMismatches))
-	}
-	if sum.ScalarFallbacks > 0 {
-		op.CountAdd(stats.CounterScalarFallbacks, uint64(sum.ScalarFallbacks))
-	}
-	if sum.Quarantines > 0 {
-		op.CountAdd(stats.CounterCoresQuarantined, uint64(sum.Quarantines))
-	}
+	o.bd.Add(stats.PhaseCompress, sum.Makespan)
+	addCount(o.bd, stats.CounterJobsReplayed, sum.Replayed)
+	addCount(o.bd, stats.CounterVerifyMismatches, sum.VerifyMismatches)
+	addCount(o.bd, stats.CounterScalarFallbacks, sum.ScalarFallbacks)
+	addCount(o.bd, stats.CounterCoresQuarantined, sum.Quarantines)
 	if sum.EngineChunks > 0 {
-		rep.Engine = hwmodel.CEngine
+		o.rep.Engine = hwmodel.CEngine
+	} else if d.Engine == hwmodel.CEngine {
+		o.rep.Fallback = true
 	}
-	if d.Engine == hwmodel.CEngine && sum.EngineChunks == 0 {
-		rep.Fallback = true
+	o.rep.OutBytes = len(out) - headerLen
+	return out, nil
+}
+
+// addCount records n events of k; none leaves the counter absent from
+// the report rather than present at zero.
+func addCount(bd *stats.Breakdown, k stats.Counter, n int) {
+	if n > 0 {
+		bd.CountAdd(k, uint64(n))
 	}
-	rep.OutBytes = len(out) - headerLen
-	rep.Phases = op.Snapshot()
-	rep.Counts = op.Counts()
-	rep.Virtual = op.Total()
-	return out, rep, nil
 }
 
 // DecompressPipelined decodes a CompressPipelined message. It is the
@@ -182,44 +156,45 @@ func (l *Library) DecompressPipelined(engine hwmodel.Engine, msg []byte, maxOutp
 // chunk frames are already in memory, so every chunk "arrives" at
 // virtual time zero and the session fans the decodes across the SoC
 // workers and the C-Engine.
-func (l *Library) decompressPipelined(op *stats.Breakdown, rep *Report, body []byte, maxOutput int) ([]byte, error) {
-	sess, count, err := l.newPipelinedSession(rep.Engine, body, maxOutput)
+func (l *Library) decompressPipelined(o *op, body []byte, maxOutput int) ([]byte, error) {
+	sess, err := l.newPipelinedSession(o.rep.Engine, body, maxOutput)
 	if err != nil {
 		return nil, err
 	}
-	rest := sess.rest
-	for i := 0; i < count; i++ {
-		index, origLen, crc, chunkBody, r, err := pipeline.ParseChunkFrame(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = r
-		if err := sess.s.Submit(index, origLen, crc, chunkBody, 0); err != nil {
-			if errors.Is(err, integrity.ErrCorrupt) {
-				op.Inc(stats.CounterHopsRejected)
-			}
-			return nil, err
-		}
-	}
-	out, sum, err := sess.s.Wait()
+	out, sum, err := sess.run()
 	if err != nil {
 		if errors.Is(err, integrity.ErrCorrupt) {
-			op.Inc(stats.CounterHopsRejected)
+			o.bd.Inc(stats.CounterHopsRejected)
 		}
 		return nil, err
 	}
-	l.chargeSoCBufPrep(op, len(out))
-	op.Add(stats.PhaseDecompress, sum.Makespan)
-	if sum.Replayed > 0 {
-		op.CountAdd(stats.CounterJobsReplayed, uint64(sum.Replayed))
-	}
+	l.chargeSoCBufPrep(o, len(out))
+	o.bd.Add(stats.PhaseDecompress, sum.Makespan)
+	addCount(o.bd, stats.CounterJobsReplayed, sum.Replayed)
 	if sum.EngineChunks > 0 {
-		rep.Engine = hwmodel.CEngine
-	} else if rep.Engine == hwmodel.CEngine {
-		rep.Engine = hwmodel.SoC
-		rep.Fallback = true
+		o.rep.Engine = hwmodel.CEngine
+	} else if o.rep.Engine == hwmodel.CEngine {
+		o.rep.Engine = hwmodel.SoC
+		o.rep.Fallback = true
 	}
 	return out, nil
+}
+
+// run submits every chunk frame following the descriptor at virtual time
+// zero and waits for the reassembled payload.
+func (r *PipelinedRecv) run() ([]byte, pipeline.Summary, error) {
+	rest := r.rest
+	for i := 0; i < r.Count; i++ {
+		index, origLen, crc, chunkBody, next, err := pipeline.ParseChunkFrame(rest)
+		if err != nil {
+			return nil, pipeline.Summary{}, err
+		}
+		rest = next
+		if err := r.s.Submit(index, origLen, crc, chunkBody, 0); err != nil {
+			return nil, pipeline.Summary{}, err
+		}
+	}
+	return r.s.Wait()
 }
 
 // PipelinedRecv is an open streamed-receive session: the MPI runtime
@@ -263,36 +238,34 @@ func (r *PipelinedRecv) Abort() { r.s.Abort() }
 // (the RTS payload in the MPI co-design). engine states the preferred
 // decompression hardware.
 func (l *Library) NewPipelinedRecv(engine hwmodel.Engine, desc []byte, maxOutput int) (*PipelinedRecv, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrFinalized
+	if err := l.enter(); err != nil {
+		return nil, err
 	}
-	sess, count, err := l.newPipelinedSession(engine, desc, maxOutput)
+	defer l.mu.RUnlock()
+	sess, err := l.newPipelinedSession(engine, desc, maxOutput)
 	if err != nil {
 		return nil, err
 	}
 	if len(sess.rest) != 0 {
 		return nil, fmt.Errorf("core: trailing %d bytes after pipeline descriptor", len(sess.rest))
 	}
-	sess.Count = count
 	return sess, nil
 }
 
 // newPipelinedSession parses a descriptor and opens the decompression
-// session. The caller must hold l.mu.
-func (l *Library) newPipelinedSession(engine hwmodel.Engine, body []byte, maxOutput int) (*PipelinedRecv, int, error) {
+// session.
+func (l *Library) newPipelinedSession(engine hwmodel.Engine, body []byte, maxOutput int) (*PipelinedRecv, error) {
 	algo, count, chunkSize, origLen, srcCRC, rest, err := pipeline.ParseDescriptor(body)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if maxOutput > 0 && origLen > maxOutput {
-		return nil, 0, fmt.Errorf("core: pipelined payload of %d bytes exceeds receive buffer %d", origLen, maxOutput)
+		return nil, fmt.Errorf("core: pipelined payload of %d bytes exceeds receive buffer %d", origLen, maxOutput)
 	}
 	spec := pipeline.Spec{Algo: algo, Engine: engine == hwmodel.CEngine, Level: l.opts.Level}
 	sess, err := l.pl.NewDecompress(spec, count, chunkSize, origLen, srcCRC)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return &PipelinedRecv{s: sess, rest: rest, Count: count, OrigLen: origLen}, count, nil
+	return &PipelinedRecv{s: sess, rest: rest, Count: count, OrigLen: origLen}, nil
 }

@@ -14,18 +14,14 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math"
 
 	"pedal/internal/faults"
 	"pedal/internal/flate"
 	"pedal/internal/hwmodel"
 	"pedal/internal/integrity"
-	"pedal/internal/lz4"
+	"pedal/internal/pipeline"
 	"pedal/internal/stats"
 	"pedal/internal/sz3"
-	"pedal/internal/zlibfmt"
 )
 
 // socCore is the injector stream the serial SoC producers draw from; it
@@ -52,27 +48,25 @@ func (l *Library) injectSDC(out []byte) {
 // bytes, re-executes on the scalar reference path, and re-verifies the
 // replacement; a second failure is unrecoverable and surfaces as a
 // typed integrity.CorruptError.
-func (l *Library) verifyCompressed(op *stats.Breakdown, d Design, rep *Report, dt DataType, src, payload []byte) ([]byte, error) {
+func (l *Library) verifyCompressed(o *op, d Design, spec pipeline.Spec, src, payload []byte) ([]byte, error) {
 	eng := l.dev.CEngine()
-	if l.checkPayload(d.Algo, dt, src, payload) {
-		if rep.Engine == hwmodel.CEngine {
+	if l.checkPayload(d, spec, src, payload) {
+		if o.rep.Engine == hwmodel.CEngine {
 			// A verified-clean engine result is evidence for readmission
 			// when the engine is quarantined (half-open probe).
 			eng.ReportVerified()
 		}
 		return payload, nil
 	}
-	op.Inc(stats.CounterVerifyMismatches)
-	if rep.Engine == hwmodel.CEngine {
-		if eng.ReportCorrupt() {
-			op.Inc(stats.CounterCoresQuarantined)
-		}
+	o.bd.Inc(stats.CounterVerifyMismatches)
+	if o.rep.Engine == hwmodel.CEngine && eng.ReportCorrupt() {
+		o.bd.Inc(stats.CounterCoresQuarantined)
 	}
-	redo, err := l.scalarReexec(op, d, dt, src)
+	redo, err := l.scalarReexec(o, d, spec, src)
 	if err != nil {
 		return nil, err
 	}
-	if !l.checkPayload(d.Algo, dt, src, redo) {
+	if !l.checkPayload(d, spec, src, redo) {
 		return nil, &integrity.CorruptError{
 			Hop:     "core.verify",
 			Segment: d.Algo.String(),
@@ -81,174 +75,67 @@ func (l *Library) verifyCompressed(op *stats.Breakdown, d Design, rep *Report, d
 	}
 	// The operation now ran on the trusted scalar path: report it as the
 	// dynamic degradation it is.
-	rep.Engine = hwmodel.SoC
-	rep.Degraded = true
+	o.rep.Engine = hwmodel.SoC
+	o.rep.Degraded = true
 	return redo, nil
 }
 
-// checkPayload answers "does this compressed payload faithfully encode
-// src?" — by round-trip decode for the lossless formats, and by the
-// differential referee (byte-compare against the scalar reference
-// compressor) for SZ3, whose lossiness makes decode-compare
-// inapplicable but whose slab kernels are pinned byte-identical to the
-// reference.
-func (l *Library) checkPayload(algo AlgoID, dt DataType, src, payload []byte) bool {
-	limit := len(src) + 64
-	switch algo {
-	case AlgoDeflate:
-		out, err := flate.DecompressLimit(payload, limit)
-		return err == nil && bytes.Equal(out, src)
-	case AlgoZlib:
-		out, err := zlibfmt.DecompressLimit(payload, limit)
-		return err == nil && bytes.Equal(out, src)
-	case AlgoLZ4:
-		out, err := lz4.DecompressLimit(payload, limit)
-		return err == nil && bytes.Equal(out, src)
-	case AlgoHybrid:
-		out, err := decodeHybridScalar(payload, limit)
-		return err == nil && bytes.Equal(out, src)
-	case AlgoSZ3:
-		backend, inner, err := sz3.SplitContainer(payload)
-		if err != nil {
-			return false
-		}
-		if backend == sz3.BackendDeflate {
-			// Engine-offloaded backend: recover the core stream by
-			// software inflate and referee it against the scalar
-			// reference core. This catches both a corrupt slab-produced
-			// core (the engine compressed bad bytes) and a corrupt
-			// engine result (the inflate diverges or fails).
-			ref, err := l.sz3Reference(dt, src, sz3.BackendNone)
-			if err != nil {
-				return false
-			}
-			_, refCore, err := sz3.SplitContainer(ref)
-			if err != nil {
-				return false
-			}
-			got, err := flate.DecompressLimit(inner, len(refCore)+64)
-			return err == nil && bytes.Equal(got, refCore)
-		}
-		// Software backend: the whole container must match the scalar
-		// reference byte for byte (backend stage included — it is shared
-		// scalar code on both sides).
-		ref, err := l.sz3Reference(dt, src, backend)
-		return err == nil && bytes.Equal(ref, payload)
-	default:
-		return true
-	}
-}
+// sz3EngineSplit reports whether d ships SZ3's DEFLATE-backed container,
+// the one payload the codec table cannot judge or rebuild on its own:
+// its backend stage ran (or would have run) on the C-Engine.
+func sz3EngineSplit(d Design) bool { return d.Algo == AlgoSZ3 && d.Engine == hwmodel.CEngine }
 
-// scalarReexec re-runs a compression on the trusted scalar path after a
-// verification mismatch: token-refereed DEFLATE with stored-block
-// recovery for the lossless designs, the scalar reference walk for SZ3.
-// The cost model charges the re-execution as a fresh SoC pass.
-func (l *Library) scalarReexec(op *stats.Breakdown, d Design, dt DataType, src []byte) ([]byte, error) {
-	op.Inc(stats.CounterScalarFallbacks)
-	if _, err := l.ctx.SoCRun(d.Algo.hwAlgo(), hwmodel.Compress, len(src)); err != nil {
-		return nil, err
-	}
-	switch d.Algo {
-	case AlgoDeflate:
-		out, _ := flate.AppendCompressVerified(l.pool.GetCap(flate.CompressBound(len(src))), src, l.opts.Level)
-		return out, nil
-	case AlgoZlib:
-		body, _ := flate.AppendCompressVerified(nil, src, l.opts.Level)
-		return zlibfmt.Assemble(l.opts.Level, body, src), nil
-	case AlgoLZ4:
-		return lz4.AppendCompress(l.pool.GetCap(lz4.CompressBound(len(src))), src), nil
-	case AlgoHybrid:
-		// A single software span is a valid hybrid frame; parallelism is
-		// not worth re-risking a misbehaving kernel here.
-		comp, _ := flate.AppendCompressVerified(nil, src, l.opts.Level)
-		out := binary.AppendUvarint(nil, 1)
-		out = binary.AppendUvarint(out, uint64(len(src)))
-		out = binary.AppendUvarint(out, uint64(len(comp)))
-		return append(out, comp...), nil
-	case AlgoSZ3:
-		if d.Engine == hwmodel.CEngine {
-			// The engine design ships a DEFLATE-backed container; rebuild
-			// it entirely in software from the reference core stream.
-			ref, err := l.sz3Reference(dt, src, sz3.BackendNone)
-			if err != nil {
-				return nil, err
-			}
-			_, core, err := sz3.SplitContainer(ref)
-			if err != nil {
-				return nil, err
-			}
-			body, _ := flate.AppendCompressVerified(nil, core, l.opts.Level)
-			return sz3.BuildContainer(sz3.BackendDeflate, body), nil
-		}
-		return l.sz3Reference(dt, src, sz3.BackendFastLZ)
-	default:
-		return nil, fmt.Errorf("core: no scalar re-execution path for %v", d.Algo)
-	}
-}
-
-// sz3Reference compresses src through the scalar reference walk with
-// the library's lossy configuration and the given backend.
-func (l *Library) sz3Reference(dt DataType, src []byte, backend sz3.BackendKind) ([]byte, error) {
-	cfg := sz3.Config{
-		ErrorBound: l.opts.ErrorBound,
-		Mode:       l.opts.SZ3Mode,
-		Predictor:  l.opts.SZ3Predictor,
-		Dims:       l.opts.SZ3Dims,
-		Backend:    backend,
-	}
-	if dt == TypeFloat32 {
-		if len(src)%4 != 0 {
-			return nil, fmt.Errorf("core: float32 buffer length %d not a multiple of 4", len(src))
-		}
-		vals := make([]float32, len(src)/4)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
-		}
-		return sz3.CompressFloat32Reference(vals, cfg)
-	}
-	vals, err := bytesToFloats(dt, src)
+// sz3ScalarCore is the trusted scalar reference walk's unwrapped core
+// stream for src.
+func (l *Library) sz3ScalarCore(spec pipeline.Spec, src []byte) ([]byte, error) {
+	spec.SZ3.Backend = sz3.BackendNone
+	ref, _, err := l.pl.EncodeScalar(spec, src)
 	if err != nil {
 		return nil, err
 	}
-	return sz3.CompressFloat64Reference(vals, cfg)
+	_, core, err := sz3.SplitContainer(ref)
+	return core, err
 }
 
-// decodeHybridScalar inflates a hybrid frame entirely in software,
-// sequentially — the referee takes no shortcuts and shares nothing with
-// the parallel path it is judging.
-func decodeHybridScalar(body []byte, maxOutput int) ([]byte, error) {
-	count, n := binary.Uvarint(body)
-	if n <= 0 || count == 0 || count > maxHybridChunks {
-		return nil, fmt.Errorf("core: corrupt hybrid frame header")
+// checkPayload answers "does this compressed payload faithfully encode
+// src?" through the codec table's verifier. The engine-split SZ3
+// container is refereed here instead: its core stream is recovered by
+// software inflate and compared with the scalar reference core, which
+// catches both a corrupt slab-produced core (the engine compressed bad
+// bytes) and a corrupt engine result (the inflate diverges or fails).
+func (l *Library) checkPayload(d Design, spec pipeline.Spec, src, payload []byte) bool {
+	if !sz3EngineSplit(d) {
+		return l.pl.Verify(spec, src, payload)
 	}
-	pos := n
-	var out []byte
-	for i := uint64(0); i < count; i++ {
-		orig, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("core: corrupt hybrid span %d origLen", i)
-		}
-		pos += n
-		comp, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("core: corrupt hybrid span %d compLen", i)
-		}
-		pos += n
-		if pos+int(comp) > len(body) {
-			return nil, fmt.Errorf("core: hybrid span %d overruns frame", i)
-		}
-		if len(out)+int(orig) > maxOutput {
-			return nil, fmt.Errorf("core: hybrid output exceeds %d bytes", maxOutput)
-		}
-		dec, err := flate.DecompressLimit(body[pos:pos+int(comp)], int(orig)+64)
-		if err != nil {
-			return nil, err
-		}
-		if len(dec) != int(orig) {
-			return nil, fmt.Errorf("core: hybrid span %d decoded %d bytes, declared %d", i, len(dec), orig)
-		}
-		out = append(out, dec...)
-		pos += int(comp)
+	backend, inner, err := sz3.SplitContainer(payload)
+	if err != nil || backend != sz3.BackendDeflate {
+		return false
 	}
-	return out, nil
+	refCore, err := l.sz3ScalarCore(spec, src)
+	if err != nil {
+		return false
+	}
+	got, err := flate.DecompressLimit(inner, len(refCore)+64)
+	return err == nil && bytes.Equal(got, refCore)
+}
+
+// scalarReexec re-runs a compression on the trusted scalar path after a
+// verification mismatch (the codec table's EncodeScalar; the engine-split
+// SZ3 container is rebuilt entirely in software from the reference core
+// stream). The cost model charges the re-execution as a fresh SoC pass.
+func (l *Library) scalarReexec(o *op, d Design, spec pipeline.Spec, src []byte) ([]byte, error) {
+	o.bd.Inc(stats.CounterScalarFallbacks)
+	if _, err := l.ctx.SoCRun(o.bd, d.Algo.hwAlgo(), hwmodel.Compress, len(src)); err != nil {
+		return nil, err
+	}
+	if !sz3EngineSplit(d) {
+		out, _, err := l.pl.EncodeScalar(spec, src)
+		return out, err
+	}
+	core, err := l.sz3ScalarCore(spec, src)
+	if err != nil {
+		return nil, err
+	}
+	body, _ := flate.AppendCompressVerified(nil, core, l.opts.Level)
+	return sz3.BuildContainer(sz3.BackendDeflate, body), nil
 }

@@ -73,15 +73,18 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // real application sets up once.
 type Context struct {
 	dev *dpu.Device
-	rng *faults.Rand
+	// total is the lifetime breakdown given to Init. It takes the charges
+	// that belong to no operation: Init itself, MMap registrations and
+	// Reopen. Per-operation charges go to the breakdown the caller hands
+	// to Submit and SoCRun.
+	total *stats.Breakdown
 
-	// mu guards the mutable context state below. The context has its own
-	// lock (rather than borrowing the caller's) because Reopen runs on
-	// the engine watchdog goroutine during a hot-reset, concurrently with
-	// whatever operation lost its job to the wedge.
+	// mu guards the mutable context state below: operations submit
+	// concurrently, and Reopen runs on the engine watchdog goroutine
+	// during a hot-reset, concurrently with whatever operation lost its
+	// job to the wedge.
 	mu      sync.Mutex
-	bd      *stats.Breakdown
-	inited  bool
+	rng     *faults.Rand
 	closed  bool
 	policy  RetryPolicy
 	reopens uint64
@@ -100,12 +103,11 @@ func Init(dev *dpu.Device, bd *stats.Breakdown) (*Context, error) {
 		return nil, errors.New("doca: nil device")
 	}
 	c := &Context{
-		dev: dev, bd: bd, mapped: make(map[*byte]int),
+		dev: dev, total: bd, mapped: make(map[*byte]int),
 		policy: DefaultRetryPolicy(),
 		rng:    faults.NewRand(1),
 	}
 	bd.Add(stats.PhaseDOCAInit, hwmodel.InitCost(dev.Generation()))
-	c.inited = true
 	return c, nil
 }
 
@@ -134,21 +136,15 @@ func (c *Context) Close() {
 	c.mu.Unlock()
 }
 
-// sink returns the current accounting target; the Breakdown itself is
-// concurrency-safe, only the pointer needs the lock (SwapBreakdown).
-func (c *Context) sink() *stats.Breakdown {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bd
-}
-
 // Reopen models the DOCA device re-open performed during an engine
 // hot-reset: every memory-map registration built against the dead engine
 // context is invalidated (real DOCA work queues and buf inventories do
 // not survive a context destroy), the rebuild cost is charged to
 // PhaseReset, and callers must re-register buffers before submitting
 // again. core installs this as the engine's reset hook so accounting and
-// mapping state track the hardware state machine.
+// mapping state track the hardware state machine. The hook runs on the
+// watchdog goroutine and belongs to no operation, so the cost goes to
+// the lifetime total.
 func (c *Context) Reopen() {
 	c.mu.Lock()
 	if c.closed {
@@ -157,9 +153,8 @@ func (c *Context) Reopen() {
 	}
 	c.mapped = make(map[*byte]int)
 	c.reopens++
-	bd := c.bd
 	c.mu.Unlock()
-	bd.Add(stats.PhaseReset, hwmodel.ResetCost(c.dev.Generation()))
+	c.total.Add(stats.PhaseReset, hwmodel.ResetCost(c.dev.Generation()))
 }
 
 // Reopens reports how many hot-reset re-opens this context performed.
@@ -183,9 +178,8 @@ func (c *Context) MMap(buf []byte) error {
 		return nil
 	}
 	c.mapped[&buf[0]] = len(buf)
-	bd := c.bd
 	c.mu.Unlock()
-	bd.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(c.dev.Generation(), hwmodel.CEngine, len(buf)))
+	c.total.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(c.dev.Generation(), hwmodel.CEngine, len(buf)))
 	return nil
 }
 
@@ -233,10 +227,10 @@ type Result struct {
 }
 
 // Submit runs algo/op over input on the C-Engine, charging the modelled
-// hardware time to the appropriate phase. input must be DOCA-mapped.
-// When the hardware lacks the path, Submit fails with
-// dpu.ErrUnsupported — PEDAL's capability fallback then redirects the
-// operation to the SoC.
+// hardware time and every resilience event to bd, the submitting
+// operation's breakdown. input must be DOCA-mapped. When the hardware
+// lacks the path, Submit fails with dpu.ErrUnsupported — PEDAL's
+// capability fallback then redirects the operation to the SoC.
 //
 // Transient failures (queue full, transient engine faults, checksum
 // mismatches, missed deadlines) are retried per the RetryPolicy with
@@ -244,17 +238,13 @@ type Result struct {
 // stats.PhaseRetry and counted in stats.CounterRetries. Engine output is
 // verified against the engine-reported CRC before being returned, so
 // corruption is detected here rather than propagated.
-func (c *Context) Submit(algo hwmodel.Algo, op hwmodel.Op, input []byte, maxOutput int) (Result, error) {
-	return c.SubmitCtx(context.Background(), algo, op, input, maxOutput)
-}
-
-// SubmitCtx is Submit bounded by a caller deadline: the retry loop
-// checkpoints ctx before every attempt and the completion wait selects
-// on it, so work the caller has abandoned stops at the next checkpoint
-// with a typed dpu.ErrDeadline (counted as a deadline_abandoned event)
-// instead of burning attempts nobody is waiting for. A background
-// context takes exactly the classic Submit path.
-func (c *Context) SubmitCtx(ctx context.Context, algo hwmodel.Algo, op hwmodel.Op, input []byte, maxOutput int) (Result, error) {
+//
+// ctx bounds the call by the caller's deadline: the retry loop
+// checkpoints it before every attempt and the completion wait selects on
+// it, so work the caller has abandoned stops at the next checkpoint with
+// a typed dpu.ErrDeadline (counted as a deadline_abandoned event) instead
+// of burning attempts nobody is waiting for.
+func (c *Context) Submit(ctx context.Context, bd *stats.Breakdown, algo hwmodel.Algo, op hwmodel.Op, input []byte, maxOutput int) (Result, error) {
 	c.mu.Lock()
 	closed := c.closed
 	p := c.policy.normalized()
@@ -267,27 +257,31 @@ func (c *Context) SubmitCtx(ctx context.Context, algo hwmodel.Algo, op hwmodel.O
 	}
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if ctx != nil && ctx.Err() != nil {
-			c.sink().Inc(stats.CounterDeadlineAbandoned)
+		if ctx.Err() != nil {
+			bd.Inc(stats.CounterDeadlineAbandoned)
 			return Result{}, fmt.Errorf("doca: abandoned before attempt %d: %w: %v",
 				attempt+1, dpu.ErrDeadline, ctx.Err())
 		}
 		if attempt > 0 {
-			bd := c.sink()
+			// The jitter stream is shared by every operation on the
+			// context, so it advances under the lock.
+			c.mu.Lock()
+			backoff := faults.Backoff(attempt-1, p.BaseBackoff, p.MaxBackoff, c.rng)
+			c.mu.Unlock()
 			bd.Inc(stats.CounterRetries)
-			bd.Add(stats.PhaseRetry, faults.Backoff(attempt-1, p.BaseBackoff, p.MaxBackoff, c.rng))
+			bd.Add(stats.PhaseRetry, backoff)
 		}
-		res, err := c.submitOnce(ctx, algo, op, input, maxOutput, p)
+		res, err := c.submitOnce(ctx, bd, algo, op, input, maxOutput, p)
 		if err == nil {
 			return res, nil
 		}
 		if !dpu.IsTransient(err) {
 			return Result{}, err
 		}
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			// The attempt failed because the caller's deadline expired
 			// mid-wait: that is an abandonment, not a transient to retry.
-			c.sink().Inc(stats.CounterDeadlineAbandoned)
+			bd.Inc(stats.CounterDeadlineAbandoned)
 			return Result{}, err
 		}
 		lastErr = err
@@ -297,17 +291,15 @@ func (c *Context) SubmitCtx(ctx context.Context, algo hwmodel.Algo, op hwmodel.O
 
 // submitOnce performs one submission attempt: enqueue, bounded wait,
 // checksum verification, cost accounting.
-func (c *Context) submitOnce(ctx context.Context, algo hwmodel.Algo, op hwmodel.Op, input []byte, maxOutput int, p RetryPolicy) (Result, error) {
+func (c *Context) submitOnce(ctx context.Context, bd *stats.Breakdown, algo hwmodel.Algo, op hwmodel.Op, input []byte, maxOutput int, p RetryPolicy) (Result, error) {
 	job := dpu.Job{Algo: algo, Op: op, Input: input, MaxOutput: maxOutput}
 	if p.JobDeadline > 0 {
 		// Stamp the deadline on the descriptor too, so the engine can
 		// drop the job at dequeue once we have stopped waiting for it.
 		job.Deadline = time.Now().Add(p.JobDeadline)
 	}
-	if ctx != nil {
-		if d, ok := ctx.Deadline(); ok && (job.Deadline.IsZero() || d.Before(job.Deadline)) {
-			job.Deadline = d
-		}
+	if d, ok := ctx.Deadline(); ok && (job.Deadline.IsZero() || d.Before(job.Deadline)) {
+		job.Deadline = d
 	}
 	h, err := c.dev.CEngine().Submit(job)
 	if err != nil {
@@ -315,14 +307,14 @@ func (c *Context) submitOnce(ctx context.Context, algo hwmodel.Algo, op hwmodel.
 	}
 	res, ok := h.WaitContextTimeout(ctx, p.JobDeadline)
 	if !ok {
-		c.sink().Inc(stats.CounterTimeouts)
+		bd.Inc(stats.CounterTimeouts)
 		return Result{}, res.Err
 	}
 	if res.Err != nil {
 		return Result{}, res.Err
 	}
 	if sum := checksum.CRC32(res.Output); sum != res.Checksum {
-		c.sink().Inc(stats.CounterCorruptions)
+		bd.Inc(stats.CounterCorruptions)
 		return Result{}, fmt.Errorf("%w: CRC 0x%08x != engine 0x%08x over %d bytes",
 			dpu.ErrCorrupt, sum, res.Checksum, len(res.Output))
 	}
@@ -330,15 +322,14 @@ func (c *Context) submitOnce(ctx context.Context, algo hwmodel.Algo, op hwmodel.
 	if op == hwmodel.Decompress {
 		phase = stats.PhaseDecompress
 	}
-	c.sink().Add(phase, res.Virtual)
+	bd.Add(phase, res.Virtual)
 	return Result{Output: res.Output, Virtual: res.Virtual}, nil
 }
 
 // SoCRun models running algo/op in software on the SoC cores: the real
 // work is done by the caller (PEDAL invokes the Go codecs directly); this
-// helper charges the calibrated virtual time. It exists on Context so all
-// accounting flows through one object.
-func (c *Context) SoCRun(algo hwmodel.Algo, op hwmodel.Op, n int) (time.Duration, error) {
+// helper charges the calibrated virtual time to bd.
+func (c *Context) SoCRun(bd *stats.Breakdown, algo hwmodel.Algo, op hwmodel.Op, n int) (time.Duration, error) {
 	d, ok := hwmodel.OpCost(c.dev.Generation(), hwmodel.SoC, algo, op, n)
 	if !ok {
 		return 0, fmt.Errorf("doca: no SoC cost model for %v %v", algo, op)
@@ -347,25 +338,6 @@ func (c *Context) SoCRun(algo hwmodel.Algo, op hwmodel.Op, n int) (time.Duration
 	if op == hwmodel.Decompress {
 		phase = stats.PhaseDecompress
 	}
-	c.sink().Add(phase, d)
+	bd.Add(phase, d)
 	return d, nil
-}
-
-// SoCBufPrep charges a plain SoC-side allocation (no DOCA mapping).
-func (c *Context) SoCBufPrep(n int) {
-	c.sink().Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(c.dev.Generation(), hwmodel.SoC, n))
-}
-
-// Breakdown exposes the accounting sink (used by experiments).
-func (c *Context) Breakdown() *stats.Breakdown { return c.sink() }
-
-// SwapBreakdown redirects subsequent charges to bd and returns the
-// previous sink. PEDAL uses this to produce per-operation reports while
-// still accumulating a library-lifetime total.
-func (c *Context) SwapBreakdown(bd *stats.Breakdown) *stats.Breakdown {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.bd
-	c.bd = bd
-	return old
 }

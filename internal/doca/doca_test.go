@@ -2,6 +2,7 @@ package doca
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -54,9 +55,9 @@ func TestMMapChargesBufPrep(t *testing.T) {
 }
 
 func TestSubmitRequiresMapping(t *testing.T) {
-	ctx, _ := newCtx(t, hwmodel.BlueField2)
+	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	src := []byte(strings.Repeat("must be mapped first ", 100))
-	if _, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, ErrNotMapped) {
+	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("want ErrNotMapped, got %v", err)
 	}
 }
@@ -67,7 +68,7 @@ func TestSubmitCompressDecompress(t *testing.T) {
 	if err := ctx.MMap(src); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, src, 0)
+	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestSubmitCompressDecompress(t *testing.T) {
 	if err := ctx.MMap(res.Output); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ctx.Submit(hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+16)
+	dec, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +91,17 @@ func TestSubmitCompressDecompress(t *testing.T) {
 }
 
 func TestUnsupportedPathSurfaces(t *testing.T) {
-	ctx, _ := newCtx(t, hwmodel.BlueField3)
+	ctx, bd := newCtx(t, hwmodel.BlueField3)
 	src := []byte("bf3 cannot compress on the engine")
 	ctx.MMap(src)
-	if _, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, dpu.ErrUnsupported) {
+	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, dpu.ErrUnsupported) {
 		t.Fatalf("want dpu.ErrUnsupported, got %v", err)
 	}
 }
 
 func TestSoCRunCharges(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField2)
-	d, err := ctx.SoCRun(hwmodel.Deflate, hwmodel.Compress, 1<<20)
+	d, err := ctx.SoCRun(bd, hwmodel.Deflate, hwmodel.Compress, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestSoCRunCharges(t *testing.T) {
 }
 
 func TestClosedContext(t *testing.T) {
-	ctx, _ := newCtx(t, hwmodel.BlueField2)
+	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	ctx.Close()
 	if err := ctx.MMap(make([]byte, 8)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("MMap after close: %v", err)
 	}
-	if _, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, []byte("x"), 0); !errors.Is(err, ErrClosed) {
+	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, []byte("x"), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v", err)
 	}
 }
@@ -137,12 +138,12 @@ func TestInitOverheadDominatesSmallMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.MMap(src)
-	res, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, src, 0)
+	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx.MMap(res.Output)
-	if _, err := ctx.Submit(hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+64); err != nil {
+	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+64); err != nil {
 		t.Fatal(err)
 	}
 	overhead := bd.Get(stats.PhaseDOCAInit) + bd.Get(stats.PhaseBufPrep)
@@ -153,10 +154,10 @@ func TestInitOverheadDominatesSmallMessages(t *testing.T) {
 }
 
 func TestSoftwareCanDecodeEngineOutput(t *testing.T) {
-	ctx, _ := newCtx(t, hwmodel.BlueField2)
+	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	src := []byte(strings.Repeat("engine to software ", 300))
 	ctx.MMap(src)
-	res, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, src, 0)
+	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package doca
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +40,7 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 		RetryPolicy{MaxAttempts: 10},
 	)
 	ctx.MMap(resilienceSrc)
-	res, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
+	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if err != nil {
 		t.Fatalf("retries did not absorb transient faults: %v", err)
 	}
@@ -49,7 +51,7 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 		t.Fatal("retry backoff charged no virtual time")
 	}
 	ctx.MMap(res.Output)
-	dec, err := ctx.Submit(hwmodel.Deflate, hwmodel.Decompress, res.Output, len(resilienceSrc)+16)
+	dec, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(resilienceSrc)+16)
 	if err != nil || !bytes.Equal(dec.Output, resilienceSrc) {
 		t.Fatalf("round trip under faults failed: %v", err)
 	}
@@ -61,7 +63,7 @@ func TestPersistentFaultFailsFast(t *testing.T) {
 		RetryPolicy{MaxAttempts: 10},
 	)
 	ctx.MMap(resilienceSrc)
-	_, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
+	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrHardware) {
 		t.Fatalf("want ErrHardware, got %v", err)
 	}
@@ -77,7 +79,7 @@ func TestCorruptionDetectedAndRetried(t *testing.T) {
 		RetryPolicy{MaxAttempts: 5},
 	)
 	ctx.MMap(resilienceSrc)
-	res, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
+	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if err != nil {
 		t.Fatalf("corruption not recovered: %v", err)
 	}
@@ -98,7 +100,7 @@ func TestCorruptionExhaustsRetries(t *testing.T) {
 		RetryPolicy{MaxAttempts: 3},
 	)
 	ctx.MMap(resilienceSrc)
-	_, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
+	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt after exhausted retries, got %v", err)
 	}
@@ -113,7 +115,7 @@ func TestJobDeadlineFires(t *testing.T) {
 		RetryPolicy{MaxAttempts: 2, JobDeadline: 5 * time.Millisecond},
 	)
 	ctx.MMap(resilienceSrc)
-	_, err := ctx.Submit(hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
+	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
@@ -128,4 +130,35 @@ func TestRetryPolicyNormalization(t *testing.T) {
 	if p.MaxAttempts != def.MaxAttempts || p.BaseBackoff != def.BaseBackoff || p.MaxBackoff != def.MaxBackoff {
 		t.Fatalf("zero policy did not normalize to defaults: %+v vs %+v", p, def)
 	}
+}
+
+// TestConcurrentSubmittersRetry: two operations retrying at the same
+// time draw their backoff jitter from the context's one seeded stream and
+// charge their own breakdowns. Run under -race (make race) this is the
+// check that the stream advances under the context lock.
+func TestConcurrentSubmittersRetry(t *testing.T) {
+	ctx, _ := newFaultyCtx(t,
+		faults.Config{Seed: 7, PTransient: 0.5},
+		RetryPolicy{MaxAttempts: 40},
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := append([]byte(nil), resilienceSrc...)
+			ctx.MMap(src)
+			bd := stats.NewBreakdown()
+			for i := 0; i < 20; i++ {
+				if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+			}
+			if bd.Count(stats.CounterRetries) == 0 || bd.Get(stats.PhaseRetry) == 0 {
+				t.Error("a submitter at a 50% transient rate recorded no retries of its own")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -188,65 +188,65 @@ func (s *DecompressSession) fail(err error) {
 // decode decompresses comp into slot (a zero-length slice whose capacity
 // is exactly origLen).
 func (s *DecompressSession) decode(comp, slot []byte, origLen int) error {
-	switch s.spec.Algo {
+	out, err := Decode(s.spec.Algo, slot, comp, origLen)
+	if err != nil {
+		return err
+	}
+	if len(out) != origLen {
+		return fmt.Errorf("%w: %v chunk decoded %d of %d bytes", ErrBadChunk, s.spec.Algo, len(out), origLen)
+	}
+	return nil
+}
+
+// Decode is the codec table's decoder: it expands comp, appending to dst,
+// and returns the extended slice; a nil dst returns freshly allocated
+// output. limit caps the lossless codecs' output; an SZ3 stream's size is
+// only known once decoded, so its callers check the returned length.
+// Output that fits dst's capacity is written in place — a session's slot
+// is exactly that — and output that does not is returned in a new
+// allocation, never written past the slot.
+func Decode(algo Algo, dst, comp []byte, limit int) ([]byte, error) {
+	switch algo {
 	case AlgoDeflate:
-		out, err := flate.AppendDecompress(slot, comp, origLen)
-		if err != nil {
-			return err
-		}
-		if len(out) != origLen {
-			return fmt.Errorf("%w: deflate chunk decoded %d of %d bytes", ErrBadChunk, len(out), origLen)
-		}
-		return nil
+		return flate.AppendDecompress(dst, comp, limit)
 	case AlgoZlib:
-		out, err := zlibfmt.DecompressLimit(comp, origLen)
-		if err != nil {
-			return err
-		}
-		if len(out) != origLen {
-			return fmt.Errorf("%w: zlib chunk decoded %d of %d bytes", ErrBadChunk, len(out), origLen)
-		}
-		copy(slot[:origLen], out)
-		return nil
+		out, err := zlibfmt.DecompressLimit(comp, limit)
+		return into(dst, out), err
 	case AlgoLZ4:
-		out, err := lz4.DecompressLimit(comp, origLen)
-		if err != nil {
-			return err
-		}
-		if len(out) != origLen {
-			return fmt.Errorf("%w: lz4 chunk decoded %d of %d bytes", ErrBadChunk, len(out), origLen)
-		}
-		copy(slot[:origLen], out)
-		return nil
+		out, err := lz4.DecompressLimit(comp, limit)
+		return into(dst, out), err
 	case AlgoSZ3F32:
 		vals, _, err := sz3.DecompressFloat32(comp)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(vals)*4 != origLen {
-			return fmt.Errorf("%w: sz3 chunk decoded %d floats for %d bytes", ErrBadChunk, len(vals), origLen)
-		}
-		b := slot[:origLen]
+		out := append(dst, make([]byte, len(vals)*4)...)
 		for i, v := range vals {
-			binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(out[len(dst)+i*4:], math.Float32bits(v))
 		}
-		return nil
+		return out, nil
 	case AlgoSZ3F64:
 		vals, _, err := sz3.DecompressFloat64(comp)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(vals)*8 != origLen {
-			return fmt.Errorf("%w: sz3 chunk decoded %d floats for %d bytes", ErrBadChunk, len(vals), origLen)
-		}
-		b := slot[:origLen]
+		out := append(dst, make([]byte, len(vals)*8)...)
 		for i, v := range vals {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(out[len(dst)+i*8:], math.Float64bits(v))
 		}
-		return nil
+		return out, nil
 	default:
-		return fmt.Errorf("%w: algo %d", ErrBadSpec, s.spec.Algo)
+		return nil, fmt.Errorf("%w: algo %d", ErrBadSpec, algo)
 	}
+}
+
+// into appends out to dst, or adopts out as is when the caller supplied
+// no destination.
+func into(dst, out []byte) []byte {
+	if dst == nil {
+		return out
+	}
+	return append(dst, out...)
 }
 
 // Abort cancels the session: it waits for already-submitted chunks to

@@ -635,26 +635,27 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	return sum, opErr
 }
 
-// softCompress compresses one chunk in software on the calling
-// goroutine. For deflate and LZ4 the output lands in a pooled buffer
-// (returned as buf for release after delivery); the zlib and SZ3 codecs
+// The codec table. Encode, EncodeScalar, Verify and Decode are the one
+// place that maps a Spec's algorithm onto the codec packages — compress
+// into a pooled buffer, trusted scalar re-execution, verify against the
+// source, decode — including the bytes↔float view SZ3 needs. The chunk
+// scheduler runs them per chunk; core's serial designs run them over the
+// whole message.
+
+// Encode compresses data in software on the calling goroutine. For
+// deflate and LZ4 the output lands in a pooled buffer (returned as buf,
+// for the caller to Put once the bytes are dead); the zlib and SZ3 codecs
 // allocate their own framing.
-func (p *Pipeline) softCompress(spec Spec, data []byte) (out, buf []byte, err error) {
-	level := spec.Level
-	if level <= 0 {
-		level = flate.DefaultLevel
-	}
+func (p *Pipeline) Encode(spec Spec, data []byte) (out, buf []byte, err error) {
 	switch spec.Algo {
 	case AlgoDeflate:
 		buf = p.pool.GetCap(flate.CompressBound(len(data)))
-		out = flate.AppendCompress(buf, data, level)
-		return out, buf, nil
+		return flate.AppendCompress(buf, data, spec.level()), buf, nil
 	case AlgoZlib:
-		return zlibfmt.Compress(data, level), nil, nil
+		return zlibfmt.Compress(data, spec.level()), nil, nil
 	case AlgoLZ4:
 		buf = p.pool.GetCap(lz4.CompressBound(len(data)))
-		out = lz4.AppendCompress(buf, data)
-		return out, buf, nil
+		return lz4.AppendCompress(buf, data), buf, nil
 	case AlgoSZ3F32:
 		vals, cerr := bytesToF32(data)
 		if cerr != nil {
@@ -674,6 +675,14 @@ func (p *Pipeline) softCompress(spec Spec, data []byte) (out, buf []byte, err er
 	}
 }
 
+// level is the deflate/zlib effort with the zero default applied.
+func (s Spec) level() int {
+	if s.Level <= 0 {
+		return flate.DefaultLevel
+	}
+	return s.Level
+}
+
 // produceSoft is the SoC chunk producer with the compute fault domain
 // wired through: compress, give the SDC injector its shot (the fault
 // model's stand-in for a misbehaving vector kernel on this core), then
@@ -683,7 +692,7 @@ func (p *Pipeline) softCompress(spec Spec, data []byte) (out, buf []byte, err er
 // corrupt bytes, which is exactly what makes the corruption silent to
 // every downstream hop and leaves verification as the only detector.
 func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, data []byte) compResult {
-	out, buf, err := p.softCompress(spec, data)
+	out, buf, err := p.Encode(spec, data)
 	if err != nil {
 		return compResult{err: err}
 	}
@@ -693,13 +702,13 @@ func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, 
 		}
 	}
 	r := compResult{out: out, buf: buf}
-	if sampler.Hit() && !p.verifyChunk(spec, data, out) {
+	if sampler.Hit() && !p.Verify(spec, data, out) {
 		r.mismatch = true
-		redo, rbuf, rerr := p.softCompressVerified(spec, data)
+		redo, rbuf, rerr := p.EncodeScalar(spec, data)
 		if buf != nil {
 			p.pool.Put(buf)
 		}
-		if rerr == nil && !p.verifyChunk(spec, data, redo) {
+		if rerr == nil && !p.Verify(spec, data, redo) {
 			rerr = &integrity.CorruptError{Hop: "pipeline.chunk", Segment: spec.Algo.String()}
 		}
 		if rerr != nil {
@@ -723,13 +732,13 @@ func (p *Pipeline) checkEngineChunk(spec Spec, sampler *integrity.Sampler, data,
 	if !sampler.Hit() && !eng.Quarantined() {
 		return compResult{out: out, crc: crc}
 	}
-	if p.verifyChunk(spec, data, out) {
+	if p.Verify(spec, data, out) {
 		eng.ReportVerified()
 		return compResult{out: out, crc: crc}
 	}
 	r := compResult{mismatch: true, fellBack: true, quarantined: eng.ReportCorrupt()}
-	redo, rbuf, rerr := p.softCompressVerified(spec, data)
-	if rerr == nil && !p.verifyChunk(spec, data, redo) {
+	redo, rbuf, rerr := p.EncodeScalar(spec, data)
+	if rerr == nil && !p.Verify(spec, data, redo) {
 		rerr = &integrity.CorruptError{Hop: "pipeline.chunk", Segment: spec.Algo.String()}
 	}
 	if rerr != nil {
@@ -740,13 +749,13 @@ func (p *Pipeline) checkEngineChunk(spec Spec, sampler *integrity.Sampler, data,
 	return r
 }
 
-// verifyChunk answers "does this compressed chunk faithfully encode
-// data?": a pooled decode-and-compare for the lossless codecs, the
-// scalar-reference differential referee for SZ3 (whose slab kernels are
-// pinned byte-identical to the reference walk). The deflate path is
-// allocation-free so VerifySampled keeps the chunk hot path at zero
-// allocations per op.
-func (p *Pipeline) verifyChunk(spec Spec, data, out []byte) bool {
+// Verify answers "does this compressed payload faithfully encode data?":
+// a decode-and-compare for the lossless codecs, the scalar-reference
+// differential referee for SZ3 (whose lossiness makes decode-compare
+// inapplicable but whose slab kernels are pinned byte-identical to the
+// reference walk). The deflate path is pooled and allocation-free so
+// VerifySampled keeps the chunk hot path at zero allocations per op.
+func (p *Pipeline) Verify(spec Spec, data, out []byte) bool {
 	switch spec.Algo {
 	case AlgoDeflate:
 		buf := p.pool.GetCap(len(data))
@@ -754,52 +763,34 @@ func (p *Pipeline) verifyChunk(spec Spec, data, out []byte) bool {
 		ok := err == nil && bytes.Equal(dec, data)
 		p.pool.Put(buf)
 		return ok
-	case AlgoZlib:
-		dec, err := zlibfmt.DecompressLimit(out, len(data))
+	case AlgoZlib, AlgoLZ4:
+		dec, err := Decode(spec.Algo, nil, out, len(data))
 		return err == nil && bytes.Equal(dec, data)
-	case AlgoLZ4:
-		dec, err := lz4.DecompressLimit(out, len(data))
-		return err == nil && bytes.Equal(dec, data)
-	case AlgoSZ3F32:
-		vals, err := bytesToF32(data)
-		if err != nil {
-			return false
-		}
-		ref, err := sz3.CompressFloat32Reference(vals, spec.SZ3)
-		return err == nil && bytes.Equal(ref, out)
-	case AlgoSZ3F64:
-		vals, err := bytesToF64(data)
-		if err != nil {
-			return false
-		}
-		ref, err := sz3.CompressFloat64Reference(vals, spec.SZ3)
+	case AlgoSZ3F32, AlgoSZ3F64:
+		// The reference walk is deterministic, so the trusted scalar
+		// re-execution doubles as the referee.
+		ref, _, err := p.EncodeScalar(spec, data)
 		return err == nil && bytes.Equal(ref, out)
 	default:
 		return false
 	}
 }
 
-// softCompressVerified is the trusted scalar re-execution path: the
-// token-refereed DEFLATE encoder (stored-block recovery) for the
-// deflate-based codecs, the scalar reference walk for SZ3, a plain
-// recompression for LZ4 (re-verified by the caller).
-func (p *Pipeline) softCompressVerified(spec Spec, data []byte) (out, buf []byte, err error) {
-	level := spec.Level
-	if level <= 0 {
-		level = flate.DefaultLevel
-	}
+// EncodeScalar is the trusted scalar re-execution path taken after a
+// verification mismatch: the token-refereed DEFLATE encoder (stored-block
+// recovery) for the deflate-based codecs, the scalar reference walk for
+// SZ3, a plain recompression for LZ4 (re-verified by the caller).
+func (p *Pipeline) EncodeScalar(spec Spec, data []byte) (out, buf []byte, err error) {
 	switch spec.Algo {
 	case AlgoDeflate:
 		buf = p.pool.GetCap(flate.CompressBound(len(data)))
-		out, _ = flate.AppendCompressVerified(buf, data, level)
+		out, _ = flate.AppendCompressVerified(buf, data, spec.level())
 		return out, buf, nil
 	case AlgoZlib:
-		body, _ := flate.AppendCompressVerified(nil, data, level)
-		return zlibfmt.Assemble(level, body, data), nil, nil
+		body, _ := flate.AppendCompressVerified(nil, data, spec.level())
+		return zlibfmt.Assemble(spec.level(), body, data), nil, nil
 	case AlgoLZ4:
-		buf = p.pool.GetCap(lz4.CompressBound(len(data)))
-		out = lz4.AppendCompress(buf, data)
-		return out, buf, nil
+		return p.Encode(spec, data)
 	case AlgoSZ3F32:
 		vals, cerr := bytesToF32(data)
 		if cerr != nil {
