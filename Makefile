@@ -41,7 +41,7 @@ KERNEL_BENCH = { \
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/lz77 ./internal/huffman ./internal/sz3; \
 	$(GO) test -run='^$$' -bench='^(BenchmarkCompressChunk|BenchmarkDecompressChunk)$$' -benchmem .; }
 
-.PHONY: all build vet test race fuzz bench benchdiff wallbench check soak
+.PHONY: all build vet test race fuzz bench benchdiff wallbench check soak figures-check
 
 all: check
 
@@ -101,6 +101,13 @@ wallbench:
 # SOAK=1; standalone `make soak` always does.
 soak:
 	$(GO) test -count=1 -run '^(TestExtEngineFaultsSoak|TestExtNetFaultsSoak|TestExtRankFaultsSoak|TestExtFleetFaultsSoak|TestExtCkptFaultsSoak|TestExtSDCFaultsSoak|TestExtOverloadFaultsSoak)$$' -v ./internal/experiments
+
+# The fourteen deterministic paper tables/figures and extensions, rendered
+# in quick mode and compared byte for byte with internal/experiments/
+# testdata/quick/<id>.txt (the same comparison `make test` runs). After an
+# intended change: append -update to the go test line to re-pin.
+figures-check:
+	$(GO) test -count=1 -run '^Test(Table4|Fig7aShape|Fig7bShape|Fig8HeadlineMetrics|Fig9Shape|Table5aShape|Table5bShape|Fig10Shape|Fig10fShape|Fig11Shape|ExtDeployShape|ExtHybridShape|ExtPipelineShape|ExtAblationShape)$$' ./internal/experiments
 
 check: build vet test race fuzz
 ifeq ($(SOAK),1)

@@ -1,11 +1,44 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 var quick = Options{Quick: true}
+
+var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.txt from this run")
+
+// checkGolden compares the rendered quick-mode table with the committed
+// testdata/quick/<id>.txt. These fourteen experiments run wholly on the
+// virtual clock over seeded data, so their output is a byte gate: a
+// refactor that moves one modelled microsecond or one compressed byte
+// shows up here. `go test -run Shape -update` re-pins after an intended
+// change.
+func checkGolden(t *testing.T, tab Table) {
+	t.Helper()
+	path := filepath.Join("testdata", "quick", tab.ID+".txt")
+	got := tab.String()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got ---\n%s--- want ---\n%s", tab.ID, path, got, want)
+	}
+}
 
 func TestRunnersComplete(t *testing.T) {
 	ids := map[string]bool{}
@@ -31,6 +64,7 @@ func TestRunnersComplete(t *testing.T) {
 
 func TestTable4(t *testing.T) {
 	tab := Table4(quick)
+	checkGolden(t, tab)
 	if len(tab.Rows) != 8 {
 		t.Fatalf("%d rows, want 8", len(tab.Rows))
 	}
@@ -47,6 +81,7 @@ func TestFig7aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// 2 engines × 3 algos × 5 datasets.
 	if len(tab.Rows) != 30 {
 		t.Fatalf("%d rows, want 30", len(tab.Rows))
@@ -69,6 +104,7 @@ func TestFig7bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// BF3: C-Engine totals comparable to SoC (no compression offload).
 	r := tab.Metrics["soc_over_cengine_total"]
 	if r < 0.5 || r > 2.5 {
@@ -81,6 +117,7 @@ func TestFig8HeadlineMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	m := tab.Metrics
 	// Paper: 101.8× compression, 11.2× decompression on xml (quick mode
 	// uses a 2 MiB prefix, so fixed costs weigh slightly differently —
@@ -113,6 +150,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// BF2: C-Engine SZ3 comparable to SoC SZ3 (backend off the critical
 	// path).
 	if r := tab.Metrics["bf2_ce_over_soc_small"]; r < 0.6 || r > 1.4 {
@@ -130,6 +168,7 @@ func TestTable5aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	m := tab.Metrics
 	// DEFLATE == zlib ratio (same algorithm, 6-byte framing difference),
 	// and LZ4 always below DEFLATE (Table V-a).
@@ -156,6 +195,7 @@ func TestTable5bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// SZ3 and SZ3(C-Engine) ratios must be close (paper: 2.941 vs 2.940
 	// etc. — the backend swap barely moves the ratio).
 	for _, ds := range []string{"exaalt-dataset1", "exaalt-dataset3", "exaalt-dataset2"} {
@@ -175,6 +215,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// Baseline + 6 designs × 2 generations.
 	if len(tab.Rows) != 13 {
 		t.Fatalf("%d rows, want 13", len(tab.Rows))
@@ -192,6 +233,7 @@ func TestFig10fShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// Paper: latency reductions up to 47.3% (BF2) and 48% (BF3), at
 	// sizes where SZ3 compute dominates. Quick mode caps messages at
 	// 2 MiB, where the baseline's fixed init still dominates and the
@@ -210,6 +252,7 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	if len(tab.Rows) != 13 {
 		t.Fatalf("%d rows, want 13", len(tab.Rows))
 	}

@@ -7,6 +7,7 @@ func TestExtDeployShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// 4 scenarios × 2 generations.
 	if len(tab.Rows) != 8 {
 		t.Fatalf("%d rows, want 8", len(tab.Rows))
@@ -26,6 +27,7 @@ func TestExtHybridShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("%d rows, want 6", len(tab.Rows))
 	}
@@ -44,6 +46,7 @@ func TestExtPipelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	// 2 sizes × 2 generations.
 	if len(tab.Rows) != 4 {
 		t.Fatalf("%d rows, want 4", len(tab.Rows))
@@ -65,6 +68,7 @@ func TestExtAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab)
 	if len(tab.Rows) < 5 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
