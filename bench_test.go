@@ -265,10 +265,8 @@ func BenchmarkDecompressCEngineDeflate(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := lib.Decompress(pedal.CEngine, pedal.TypeBytes, msg, len(data)+64)
-		if err != nil {
+		if _, _, err := lib.Decompress(pedal.CEngine, pedal.TypeBytes, msg, len(data)+64); err != nil {
 			b.Fatal(err)
 		}
-		lib.Release(out)
 	}
 }

@@ -64,7 +64,7 @@ func (l *Library) CompressContext(ctx context.Context, d Design, dt DataType, da
 }
 
 // compressSerial compresses the whole message as one unit with d's
-// design, verifies it when the sampler elects it, and assembles the wire
+// design, verifies it when the sampler elects it, and returns the wire
 // message: PEDAL header | payload.
 func (l *Library) compressSerial(o *op, d Design, dt DataType, data []byte) ([]byte, error) {
 	if err := l.checkDeadline(o, "compress"); err != nil {
@@ -74,39 +74,59 @@ func (l *Library) compressSerial(o *op, d Design, dt DataType, data []byte) ([]b
 	if err != nil {
 		return nil, err
 	}
-	payload, err := l.compressPayload(o, d, spec, data)
+	drawn, err := l.compressMsg(o, d, spec, data)
 	if err != nil {
 		return nil, err
 	}
-	// Deadline checkpoint between compression and verification/assembly:
-	// a caller that gave up mid-compression gets its typed abandonment
-	// now, with the payload staging buffer released rather than leaked.
+	// Deadline checkpoint between compression and verification: a caller
+	// that gave up mid-compression gets its typed abandonment now, with
+	// the message buffer released rather than leaked.
 	if err := l.checkDeadline(o, "compress"); err != nil {
-		l.pool.Put(payload)
+		l.pool.Put(drawn)
 		return nil, err
 	}
 	// Compute fault domain: software-produced payloads get their SDC
-	// injection here (the engine injects internally, pre-checksum); then
-	// the sampler decides whether this operation decode-verifies. A
+	// injection here (the engine injects internally, pre-checksum, which
+	// is what makes the corruption silent to the engine fault domain);
+	// then the sampler decides whether this operation decode-verifies. A
 	// quarantined engine's output is always verified — those are the
 	// half-open probes that earn readmission.
+	msg := drawn
 	if o.rep.Engine != hwmodel.CEngine {
-		l.injectSDC(payload)
+		l.sdc.Corrupt(socCore, msg[headerLen:])
 	}
 	if l.sampler.Hit() || (o.rep.Engine == hwmodel.CEngine && l.dev.CEngine().Quarantined()) {
-		payload, err = l.verifyCompressed(o, d, spec, data, payload)
-		if err != nil {
+		if msg, err = l.verifyCompressed(o, d, spec, data, msg); err != nil {
+			l.pool.Put(drawn)
 			return nil, err
 		}
 	}
-	msg := l.pool.Get(headerLen + len(payload))
-	putHeader(msg, d.Algo)
-	copy(msg[headerLen:], payload)
-	o.rep.OutBytes = len(payload)
-	// The payload staging buffer is dead after the copy; recycling it
-	// keeps the steady-state compress path allocation-free.
-	l.pool.Put(payload)
-	return msg, nil
+	o.rep.OutBytes = len(msg) - headerLen
+	return l.rehome(drawn, msg), nil
+}
+
+// newMsg draws a message buffer from the pool with room for n bytes
+// behind head (the PEDAL header and any codec framing) and copies head in.
+// Every message a Library returns starts here, which is what makes
+// Release legal on it.
+func (l *Library) newMsg(head []byte, n int) []byte {
+	return append(l.pool.GetCap(len(head)+n), head...)
+}
+
+// rehome returns msg — drawn, grown by appends — in a buffer the pool
+// issued. Appends that stayed inside drawn's capacity left it there.
+// Ones that outgrew it (a healed payload larger than the one it
+// replaces, chunk frames past the estimate) moved the bytes to the heap,
+// which the pool must never be handed: they are copied into a fresh draw
+// and drawn itself goes back.
+func (l *Library) rehome(drawn, msg []byte) []byte {
+	if &msg[0] == &drawn[0] {
+		return msg
+	}
+	out := l.pool.Get(len(msg))
+	copy(out, msg)
+	l.pool.Put(drawn)
+	return out
 }
 
 // codecSpec maps a design and datatype onto the codec table
@@ -144,65 +164,85 @@ func (l *Library) codecSpec(d Design, dt DataType) (pipeline.Spec, error) {
 	return spec, nil
 }
 
-// compressPayload produces d's compressed payload. What is core's own
-// lives here — which engine runs what, and the zlib and SZ3 splits that
-// put only their DEFLATE stage on the C-Engine; the codecs themselves
-// are the table's.
-func (l *Library) compressPayload(o *op, d Design, spec pipeline.Spec, data []byte) ([]byte, error) {
-	if d.Engine != hwmodel.CEngine {
-		return l.socCompress(o, d.Algo, spec, data)
-	}
-	switch d.Algo {
-	case AlgoDeflate:
-		return l.engineCompressDeflate(o, data)
-	case AlgoZlib:
-		// PEDAL's hybrid zlib (§III-C.1, Fig. 3): the DEFLATE body runs
-		// on the C-Engine while the SoC computes the RFC 1950 header and
-		// Adler-32 trailer.
-		body, err := l.engineCompressDeflate(o, data)
-		if err != nil {
-			return nil, err
+// compressMsg produces d's message in a buffer drawn from the pool,
+// which the caller owns from then on. What is core's own lives here —
+// which engine runs what, and the zlib and SZ3 splits that put only their
+// DEFLATE stage on the C-Engine; the codecs themselves are the table's.
+func (l *Library) compressMsg(o *op, d Design, spec pipeline.Spec, data []byte) ([]byte, error) {
+	var scratch [16]byte // header plus the split designs' framing, kept off the heap
+	head := append(scratch[:0], headerIndicator, byte(d.Algo), headerIndicator)
+	if d.Engine == hwmodel.CEngine {
+		switch d.Algo {
+		case AlgoDeflate:
+			return l.engineDeflateMsg(o, head, 0, data)
+		case AlgoZlib:
+			// PEDAL's hybrid zlib (§III-C.1, Fig. 3): the DEFLATE body runs
+			// on the C-Engine while the SoC computes the RFC 1950 header and
+			// Adler-32 trailer.
+			h, t := zlibfmt.Header(l.opts.Level), zlibfmt.Trailer(data)
+			msg, err := l.engineDeflateMsg(o, append(head, h[:]...), len(t), data)
+			if err != nil {
+				return nil, err
+			}
+			o.bd.Add(stats.PhaseCompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(data)))
+			return append(msg, t[:]...), nil
+		case AlgoSZ3:
+			// PEDAL-optimised SZ3 (§III-C.2, Fig. 4): the predict+quantize+
+			// encode core always runs on the SoC and produces the unwrapped
+			// core stream; only the DEFLATE backend stage is offloaded (SoC
+			// fallback on BF3). The receiver rebuilds an equivalent container
+			// around the core stream.
+			spec.SZ3.Backend = sz3.BackendNone
+			raw, err := l.socEncode(o, AlgoSZ3, spec, nil, data)
+			if err != nil {
+				return nil, err
+			}
+			_, corePayload, err := sz3.SplitContainer(raw)
+			if err != nil {
+				return nil, err
+			}
+			return l.engineDeflateMsg(o, sz3.AppendContainer(head, sz3.BackendDeflate, nil), 0, corePayload)
 		}
-		o.bd.Add(stats.PhaseCompress, hwmodel.ZlibTrailerCost(l.dev.Generation(), len(data)))
-		return zlibfmt.Assemble(l.opts.Level, body, data), nil
-	case AlgoSZ3:
-		// PEDAL-optimised SZ3 (§III-C.2, Fig. 4): the predict+quantize+
-		// encode core always runs on the SoC and produces the unwrapped
-		// core stream; only the DEFLATE backend stage is offloaded (SoC
-		// fallback on BF3). The receiver rebuilds an equivalent container
-		// around the core stream.
-		spec.SZ3.Backend = sz3.BackendNone
-		raw, err := l.socCompress(o, AlgoSZ3, spec, data)
-		if err != nil {
-			return nil, err
-		}
-		_, corePayload, err := sz3.SplitContainer(raw)
-		if err != nil {
-			return nil, err
-		}
-		body, err := l.engineCompressDeflate(o, corePayload)
-		if err != nil {
-			return nil, err
-		}
-		return sz3.BuildContainer(sz3.BackendDeflate, body), nil
-	default:
 		// No BlueField generation compresses LZ4 in hardware (Table II);
 		// a C-Engine preference always relegates to the SoC (§V-D:
 		// "BlueField-2, with its lack of support for LZ4 on its C-Engine,
 		// consequently relegates LZ4 compression to the SoC core").
 		o.rep.Engine = hwmodel.SoC
 		o.rep.Fallback = true
-		return l.socCompress(o, d.Algo, spec, data)
 	}
+	return l.socMsg(o, d.Algo, spec, head, 0, data)
 }
 
-// socCompress runs algo's codec over data on the SoC and charges its
-// modelled time. SZ3's software backend stage is priced separately from
-// its core, over the ≈25% of the input the entropy-coded core stream
+// socMsg draws the message head | spec's encoding of data, with room for
+// tail more bytes, encoding on the SoC. A codec with a tight output bound
+// encodes straight behind head in a message drawn to that bound. SZ3 has
+// none (exact-value fallbacks can exceed the input, and a 2× class would
+// over-charge every message), so its output is the codec's own
+// allocation, copied once into a message drawn to fit.
+func (l *Library) socMsg(o *op, algo AlgoID, spec pipeline.Spec, head []byte, tail int, data []byte) ([]byte, error) {
+	n := spec.Bound(len(data))
+	if n == 0 {
+		payload, err := l.socEncode(o, algo, spec, nil, data)
+		if err != nil {
+			return nil, err
+		}
+		return append(l.newMsg(head, len(payload)+tail), payload...), nil
+	}
+	msg := l.newMsg(head, n+tail)
+	out, err := l.socEncode(o, algo, spec, msg, data)
+	if err != nil {
+		l.pool.Put(msg)
+	}
+	return out, err
+}
+
+// socEncode appends algo's encoding of data to dst on the SoC and charges
+// its modelled time. SZ3's software backend stage is priced separately
+// from its core, over the ≈25% of the input the entropy-coded core stream
 // comes to on the paper's datasets (the real size is used for the data;
 // the estimate only prices the virtual backend stage).
-func (l *Library) socCompress(o *op, algo AlgoID, spec pipeline.Spec, data []byte) ([]byte, error) {
-	out, _, err := l.pl.Encode(spec, data)
+func (l *Library) socEncode(o *op, algo AlgoID, spec pipeline.Spec, dst, data []byte) ([]byte, error) {
+	out, err := pipeline.Encode(spec, dst, data)
 	if err != nil {
 		return nil, err
 	}
@@ -222,10 +262,14 @@ func (l *Library) socCompress(o *op, algo AlgoID, spec pipeline.Spec, data []byt
 // stream for backend cost accounting.
 func estimateCorePayload(n int) int { return n / 4 }
 
-// engineCompressDeflate runs DEFLATE compression on the C-Engine,
-// handling staging, mapping and fallback; it is shared by the DEFLATE,
-// zlib and SZ3 engine designs.
-func (l *Library) engineCompressDeflate(o *op, data []byte) ([]byte, error) {
+// engineDeflateMsg draws the message head | DEFLATE(data), with room for
+// tail more bytes, running the DEFLATE on the C-Engine and handling
+// staging, mapping and fallback; it is shared by the DEFLATE, zlib and SZ3
+// engine designs. Engine output stays the engine's — a job the watchdog
+// failed may still complete late and must never scribble on memory the
+// SoC replay is writing — so it is copied once into a message drawn to
+// fit.
+func (l *Library) engineDeflateMsg(o *op, head []byte, tail int, data []byte) ([]byte, error) {
 	supported := l.dev.SupportsCEngine(hwmodel.Deflate, hwmodel.Compress)
 	var engineErr error
 	if supported && l.engineAllowed(o) {
@@ -235,7 +279,7 @@ func (l *Library) engineCompressDeflate(o *op, data []byte) ([]byte, error) {
 		l.noteEngineResult(o, err)
 		if err == nil {
 			o.rep.Engine = hwmodel.CEngine
-			return res.Output, nil
+			return append(l.newMsg(head, len(res.Output)+tail), res.Output...), nil
 		}
 		if cerr := l.checkDeadline(o, "engine-compress"); cerr != nil {
 			// The engine attempt died with the caller's deadline: abandon
@@ -256,7 +300,7 @@ func (l *Library) engineCompressDeflate(o *op, data []byte) ([]byte, error) {
 		// its deterministic replay (same input, algo, op).
 		o.bd.Inc(stats.CounterJobsReplayed)
 	}
-	return l.socCompress(o, AlgoDeflate, pipeline.Spec{Algo: pipeline.AlgoDeflate, Level: l.opts.Level}, data)
+	return l.socMsg(o, AlgoDeflate, pipeline.Spec{Algo: pipeline.AlgoDeflate, Level: l.opts.Level}, head, tail, data)
 }
 
 // stage copies data into a pre-mapped pool buffer for C-Engine

@@ -445,10 +445,12 @@ func (l *Library) checkDeadline(o *op, where string) error {
 	return fmt.Errorf("core: %s abandoned at deadline checkpoint: %w: %v", where, dpu.ErrDeadline, err)
 }
 
-// Release returns a buffer obtained from Compress or Decompress to the
-// memory pool. Optional: the GC collects unreleased buffers, but
-// releasing keeps the steady-state path allocation-free.
-func (l *Library) Release(buf []byte) { l.pool.Put(buf) }
+// Release returns a message obtained from Compress or CompressPipelined
+// (or their Context forms) to the memory pool, whole and exactly once.
+// Those are the buffers the pool issued; Decompress outputs are not
+// pool-drawn yet (ROADMAP item 10) and must not be passed here. Optional:
+// the GC collects unreleased messages, but their pool charge stays held.
+func (l *Library) Release(msg []byte) { l.pool.Put(msg) }
 
 // Breaker exposes the per-device circuit breaker (nil when disabled) so
 // experiments and tests can observe its state.

@@ -19,13 +19,6 @@ var ErrNoHeader = errors.New("core: payload has no PEDAL header (uncompressed)")
 // HeaderLen is the wire size of the PEDAL header.
 const HeaderLen = headerLen
 
-// putHeader writes the 3-byte header into dst (len >= headerLen).
-func putHeader(dst []byte, algo AlgoID) {
-	dst[0] = headerIndicator
-	dst[1] = byte(algo)
-	dst[2] = headerIndicator
-}
-
 // ParseHeader inspects a received payload. If it carries a valid PEDAL
 // header it returns the algorithm and the compressed body; otherwise it
 // returns ErrNoHeader and the caller should treat the whole payload as

@@ -104,19 +104,18 @@ func (l *Library) compressPipelined(o *op, d Design, dt DataType, data []byte) (
 	// which is patched over the descriptor's placeholder below (the CRC
 	// is the descriptor's trailing 4 bytes, and chunk frames only ever
 	// append after it).
-	out := l.pool.GetCap(headerLen + 32 + flate.CompressBound(len(data)))
-	out = append(out, headerIndicator, byte(AlgoPipelined), headerIndicator)
-	out = pipeline.AppendDescriptor(out, spec.Algo, count, spec.ChunkSize, len(data), 0)
+	drawn := l.newMsg([]byte{headerIndicator, byte(AlgoPipelined), headerIndicator}, 32+flate.CompressBound(len(data)))
+	out := pipeline.AppendDescriptor(drawn, spec.Algo, count, spec.ChunkSize, len(data), 0)
 	descEnd := len(out)
 	sum, err := l.pl.CompressContext(o.ctx, data, spec, func(ch pipeline.Chunk) error {
 		out = pipeline.AppendChunkFrame(out, ch.Index, ch.OrigLen, ch.CRC, ch.Data)
 		return nil
 	})
 	if err != nil {
-		// The partially assembled message is dead; recycling it is what
-		// lets the overload soak assert zero leaked buffers after a
-		// deadline storm.
-		l.pool.Put(out)
+		// The partially assembled message is dead; recycling what was
+		// drawn for it is what lets the overload soak assert zero leaked
+		// buffers after a deadline storm.
+		l.pool.Put(drawn)
 		if errors.Is(err, dpu.ErrDeadline) {
 			o.bd.Inc(stats.CounterDeadlineAbandoned)
 		}
@@ -134,7 +133,9 @@ func (l *Library) compressPipelined(o *op, d Design, dt DataType, data []byte) (
 		o.rep.Fallback = true
 	}
 	o.rep.OutBytes = len(out) - headerLen
-	return out, nil
+	// The size drawn is an estimate: chunk frames of incompressible or
+	// SZ3 data can append past it.
+	return l.rehome(drawn, out), nil
 }
 
 // addCount records n events of k; none leaves the counter absent from

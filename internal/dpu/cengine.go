@@ -1024,11 +1024,7 @@ func (e *CEngine) executeInner(job Job, fault faults.Decision) JobResult {
 	// only — the SDC model targets the compression kernels the paper
 	// offloads.
 	if job.Op == hwmodel.Compress {
-		if inj := e.getComputeInjector(); inj != nil {
-			if d := inj.Next(engineUnitID); d.Class != faults.None {
-				inj.Apply(d, out)
-			}
-		}
+		e.getComputeInjector().Corrupt(engineUnitID, out)
 	}
 	// The engine reports the CRC of the data it produced; corruption
 	// injected below therefore mismatches it, the way a bit flip on the

@@ -194,6 +194,14 @@ func (i *ComputeInjector) Apply(d ComputeDecision, out []byte) bool {
 	return true
 }
 
+// Corrupt draws core's decision for one kernel execution and applies it
+// to out — the whole of a producer's SDC hook. It reports whether a byte
+// changed; a nil injector corrupts nothing.
+func (i *ComputeInjector) Corrupt(core int, out []byte) bool {
+	d := i.Next(core)
+	return d.Class != None && i.Apply(d, out)
+}
+
 // Counts reports how many kernel executions were seen and how many had
 // a corruption applied.
 func (i *ComputeInjector) Counts() (ops, injected uint64) {

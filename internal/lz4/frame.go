@@ -63,7 +63,7 @@ func AppendCompress(dst, src []byte) []byte {
 		out = append(out, byte(sz>>(8*k)))
 	}
 	// HC: second byte of xxh32 of the descriptor (FLG..content size).
-	hc := byte(checksum.XXH32(out[4:], 0) >> 8)
+	hc := byte(checksum.XXH32(out[len(dst)+4:], 0) >> 8)
 	out = append(out, hc)
 
 	for off := 0; off < len(src) || (off == 0 && len(src) == 0); off += blockMax {

@@ -103,6 +103,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, src) {
 			t.Fatalf("%s: frame round trip mismatch", name)
 		}
+		// Appending behind a prefix yields the same frame: nothing in it
+		// (the descriptor checksum least of all) may depend on where in
+		// dst it starts.
+		if g := AppendCompress([]byte("hdr"), src); !bytes.Equal(g[3:], f) {
+			t.Fatalf("%s: frame appended behind a prefix differs", name)
+		}
 	}
 }
 

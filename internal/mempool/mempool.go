@@ -280,9 +280,11 @@ func (p *Pool) Put(buf []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.outstanding--
-	// Uncharge by capacity, clamped: append-grown GetCap buffers can
-	// return fatter than they were charged, and Prewarm-style foreign
-	// Puts were never charged at all.
+	// Uncharge by capacity, clamped: Prewarm's Puts were never charged at
+	// all. The library itself hands back only buffers this pool issued,
+	// at the capacity it issued them (an append that outgrows a GetCap
+	// buffer is re-homed by its owner, never Put), so for it the
+	// uncharge always equals the charge.
 	uncharge := int64(c)
 	if c <= p.maxPooled {
 		uncharge = int64(1) << sizeClass(c)

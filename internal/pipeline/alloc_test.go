@@ -48,9 +48,7 @@ func TestProduceSoftVerifiedZeroAllocs(t *testing.T) {
 				if r.mismatch {
 					t.Fatal("clean chunk reported a verify mismatch")
 				}
-				if r.buf != nil {
-					p.pool.Put(r.buf)
-				}
+				p.pool.Put(r.buf)
 			}
 			// Warm the pooled compress/verify scratch before measuring.
 			for i := 0; i < 2; i++ {

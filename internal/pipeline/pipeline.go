@@ -397,8 +397,11 @@ func (pl *planner) place(arrival time.Duration, n int) (time.Duration, bool) {
 }
 
 type compResult struct {
-	out      []byte
-	buf      []byte // pooled backing buffer, nil for engine output
+	out []byte
+	// buf is what the chunk's producer drew from the pool — nothing for
+	// an engine chunk or an SZ3 one — and what the delivery loop Puts; out
+	// usually lives in it.
+	buf      []byte
 	crc      uint32 // source-computed CRC of out, carried hop to hop
 	srcCRC   uint32 // CRC of the chunk's *uncompressed* bytes (verify on)
 	err      error
@@ -406,12 +409,11 @@ type compResult struct {
 	// replayed marks a fallback caused by engine loss (stall/wedge/
 	// reset) rather than an ordinary job failure.
 	replayed bool
-	// mismatch marks a chunk whose verification caught silent
-	// corruption; redo marks the scalar re-execution that replaced it;
+	// mismatch marks a chunk whose verification caught silent corruption
+	// (a delivered one was replaced by its scalar re-execution);
 	// quarantined marks a mismatch that tipped the engine's integrity
 	// ledger over its threshold.
 	mismatch    bool
-	redo        bool
 	quarantined bool
 }
 
@@ -570,14 +572,11 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 		if opErr == nil && ctxExpires && ctx.Err() != nil {
 			opErr = deadlineErr(ctx)
 		}
-		if opErr != nil {
-			if r.buf != nil {
-				p.pool.Put(r.buf)
-			}
-			continue
-		}
-		if r.err != nil {
+		if opErr == nil && r.err != nil {
 			opErr = fmt.Errorf("pipeline: chunk %d: %w", idx, r.err)
+		}
+		if opErr != nil {
+			p.pool.Put(r.buf)
 			continue
 		}
 		s := slots[idx]
@@ -600,8 +599,6 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 		}
 		if r.mismatch {
 			sum.VerifyMismatches++
-		}
-		if r.redo {
 			sum.ScalarFallbacks++
 		}
 		if r.quarantined {
@@ -609,9 +606,7 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 		}
 		sum.CompBytes += len(r.out)
 		err := sink(Chunk{Index: idx, Offset: s.off, OrigLen: s.clen, Data: r.out, Engine: engine, CRC: r.crc, Done: done})
-		if r.buf != nil {
-			p.pool.Put(r.buf)
-		}
+		p.pool.Put(r.buf)
 		if err != nil {
 			opErr = err
 		}
@@ -635,43 +630,29 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	return sum, opErr
 }
 
-// The codec table. Encode, EncodeScalar, Verify and Decode are the one
-// place that maps a Spec's algorithm onto the codec packages — compress
-// into a pooled buffer, trusted scalar re-execution, verify against the
-// source, decode — including the bytes↔float view SZ3 needs. The chunk
-// scheduler runs them per chunk; core's serial designs run them over the
-// whole message.
+// The codec table. Bound, Encode, EncodeScalar, Verify, Heal and Decode
+// are the one place that maps a Spec's algorithm onto the codec packages —
+// compress, trusted scalar re-execution, verify against the source, heal,
+// decode — including the bytes↔float view SZ3 needs. The chunk scheduler
+// runs them per chunk; core's serial designs run them over the whole
+// message. Like Decode, the encoders append to a dst their caller owns:
+// whoever draws a buffer appends into it and Puts that buffer, and the
+// table never hands one to anybody.
 
-// Encode compresses data in software on the calling goroutine. For
-// deflate and LZ4 the output lands in a pooled buffer (returned as buf,
-// for the caller to Put once the bytes are dead); the zlib and SZ3 codecs
-// allocate their own framing.
-func (p *Pipeline) Encode(spec Spec, data []byte) (out, buf []byte, err error) {
-	switch spec.Algo {
+// Bound is the capacity the encoders need behind dst to append the
+// encoding of n input bytes without growing it. Zero means no tight bound
+// exists — SZ3's exact-value fallbacks can exceed the input — so the
+// caller draws nothing and adopts what the codec allocates.
+func (s Spec) Bound(n int) int {
+	switch s.Algo {
 	case AlgoDeflate:
-		buf = p.pool.GetCap(flate.CompressBound(len(data)))
-		return flate.AppendCompress(buf, data, spec.level()), buf, nil
+		return flate.CompressBound(n)
 	case AlgoZlib:
-		return zlibfmt.Compress(data, spec.level()), nil, nil
+		return flate.CompressBound(n) + 6
 	case AlgoLZ4:
-		buf = p.pool.GetCap(lz4.CompressBound(len(data)))
-		return lz4.AppendCompress(buf, data), buf, nil
-	case AlgoSZ3F32:
-		vals, cerr := bytesToF32(data)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		out, err = sz3.CompressFloat32(vals, spec.SZ3)
-		return out, nil, err
-	case AlgoSZ3F64:
-		vals, cerr := bytesToF64(data)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		out, err = sz3.CompressFloat64(vals, spec.SZ3)
-		return out, nil, err
+		return lz4.CompressBound(n)
 	default:
-		return nil, nil, fmt.Errorf("%w: algo %d", ErrBadSpec, spec.Algo)
+		return 0
 	}
 }
 
@@ -683,38 +664,104 @@ func (s Spec) level() int {
 	return s.Level
 }
 
-// produceSoft is the SoC chunk producer with the compute fault domain
-// wired through: compress, give the SDC injector its shot (the fault
-// model's stand-in for a misbehaving vector kernel on this core), then
-// — when the sampler elects this chunk — decode-verify and fall back to
-// the trusted scalar path on a mismatch. The chunk CRC is computed
-// *after* injection: a corrupted chunk carries a checksum matching its
-// corrupt bytes, which is exactly what makes the corruption silent to
-// every downstream hop and leaves verification as the only detector.
-func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, data []byte) compResult {
-	out, buf, err := p.Encode(spec, data)
+// Encode compresses data in software on the calling goroutine, appending
+// to dst.
+func Encode(spec Spec, dst, data []byte) ([]byte, error) { return encode(spec, dst, data, false) }
+
+// EncodeScalar is the trusted scalar re-execution path taken after a
+// verification mismatch, appending to dst: the token-refereed DEFLATE
+// encoder (stored-block recovery) for the deflate-based codecs — the body
+// of a DEFLATE-backed SZ3 container included, over the reference core —
+// the scalar reference walk for SZ3, a plain recompression for LZ4
+// (re-verified by the caller).
+func EncodeScalar(spec Spec, dst, data []byte) ([]byte, error) { return encode(spec, dst, data, true) }
+
+func encode(spec Spec, dst, data []byte, scalar bool) ([]byte, error) {
+	switch spec.Algo {
+	case AlgoDeflate:
+		return appendDeflate(dst, data, spec.level(), scalar), nil
+	case AlgoZlib:
+		h, t := zlibfmt.Header(spec.level()), zlibfmt.Trailer(data)
+		return append(appendDeflate(append(dst, h[:]...), data, spec.level(), scalar), t[:]...), nil
+	case AlgoLZ4:
+		return lz4.AppendCompress(dst, data), nil
+	case AlgoSZ3F32, AlgoSZ3F64:
+		if scalar && spec.SZ3.Backend == sz3.BackendDeflate {
+			core, err := sz3ScalarCore(spec, data)
+			if err != nil {
+				return nil, err
+			}
+			return appendDeflate(sz3.AppendContainer(dst, sz3.BackendDeflate, nil), core, spec.level(), true), nil
+		}
+		out, err := sz3Encode(spec, data, scalar)
+		return into(dst, out), err
+	default:
+		return nil, fmt.Errorf("%w: algo %d", ErrBadSpec, spec.Algo)
+	}
+}
+
+// appendDeflate appends src's DEFLATE stream to dst, through the
+// token-refereed encoder on the scalar path.
+func appendDeflate(dst, src []byte, level int, scalar bool) []byte {
+	if scalar {
+		dst, _ = flate.AppendCompressVerified(dst, src, level)
+		return dst
+	}
+	return flate.AppendCompress(dst, src, level)
+}
+
+// sz3Encode runs SZ3 — the slab kernels, or the scalar reference walk —
+// over data viewed as spec's float type.
+func sz3Encode(spec Spec, data []byte, reference bool) ([]byte, error) {
+	if spec.Algo == AlgoSZ3F32 {
+		vals, err := bytesToF32(data)
+		if err != nil {
+			return nil, err
+		}
+		if reference {
+			return sz3.CompressFloat32Reference(vals, spec.SZ3)
+		}
+		return sz3.CompressFloat32(vals, spec.SZ3)
+	}
+	vals, err := bytesToF64(data)
 	if err != nil {
-		return compResult{err: err}
+		return nil, err
 	}
-	if inj := spec.SDC; inj != nil {
-		if d := inj.Next(core); d.Class != faults.None {
-			inj.Apply(d, out)
-		}
+	if reference {
+		return sz3.CompressFloat64Reference(vals, spec.SZ3)
 	}
-	r := compResult{out: out, buf: buf}
-	if sampler.Hit() && !p.Verify(spec, data, out) {
-		r.mismatch = true
-		redo, rbuf, rerr := p.EncodeScalar(spec, data)
-		if buf != nil {
-			p.pool.Put(buf)
-		}
-		if rerr == nil && !p.Verify(spec, data, redo) {
-			rerr = &integrity.CorruptError{Hop: "pipeline.chunk", Segment: spec.Algo.String()}
-		}
-		if rerr != nil {
-			return compResult{err: rerr, mismatch: true}
-		}
-		r.out, r.buf, r.redo = redo, rbuf, true
+	return sz3.CompressFloat64(vals, spec.SZ3)
+}
+
+// sz3ScalarCore is the scalar reference walk's unwrapped core stream for
+// data: what a DEFLATE-backed container must inflate to.
+func sz3ScalarCore(spec Spec, data []byte) ([]byte, error) {
+	spec.SZ3.Backend = sz3.BackendNone
+	ref, err := sz3Encode(spec, data, true)
+	if err != nil {
+		return nil, err
+	}
+	_, core, err := sz3.SplitContainer(ref)
+	return core, err
+}
+
+// produceSoft is the SoC chunk producer with the compute fault domain
+// wired through: draw the chunk's buffer, compress into it, give the SDC
+// injector its shot (the fault model's stand-in for a misbehaving vector
+// kernel on this core), then — when the sampler elects this chunk — verify
+// and heal in that same buffer. The chunk CRC is computed *after*
+// injection: a corrupted chunk carries a checksum matching its corrupt
+// bytes, which is exactly what makes the corruption silent to every
+// downstream hop and leaves verification as the only detector. The
+// delivery loop Puts r.buf, on success and failure alike.
+func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, data []byte) compResult {
+	r := compResult{buf: p.pool.GetCap(spec.Bound(len(data)))}
+	if r.out, r.err = Encode(spec, r.buf, data); r.err != nil {
+		return r
+	}
+	spec.SDC.Corrupt(core, r.out)
+	if sampler.Hit() {
+		r.out, r.mismatch, _, r.err = p.Heal(spec, r.buf, data, r.out, false, "pipeline.chunk")
 	}
 	r.crc = checksum.CRC32(r.out)
 	return r
@@ -725,36 +772,56 @@ func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, 
 // whatever bytes the engine produced — silently corrupt or not), and
 // the sampler decides whether to decode-verify. Engine output is always
 // verified while the engine is quarantined: those are the half-open
-// probes that earn readmission. A mismatch feeds the integrity ledger
-// and re-executes the chunk on the trusted scalar path.
+// probes that earn readmission. The chunk draws nothing: out is the
+// engine's own allocation, and the rare healed replacement is the heap's.
 func (p *Pipeline) checkEngineChunk(spec Spec, sampler *integrity.Sampler, data, out []byte, crc uint32) compResult {
-	eng := p.dev.CEngine()
-	if !sampler.Hit() && !eng.Quarantined() {
-		return compResult{out: out, crc: crc}
-	}
-	if p.Verify(spec, data, out) {
-		eng.ReportVerified()
-		return compResult{out: out, crc: crc}
-	}
-	r := compResult{mismatch: true, fellBack: true, quarantined: eng.ReportCorrupt()}
-	redo, rbuf, rerr := p.EncodeScalar(spec, data)
-	if rerr == nil && !p.Verify(spec, data, redo) {
-		rerr = &integrity.CorruptError{Hop: "pipeline.chunk", Segment: spec.Algo.String()}
-	}
-	if rerr != nil {
-		r.err = rerr
+	r := compResult{out: out, crc: crc}
+	if !sampler.Hit() && !p.dev.CEngine().Quarantined() {
 		return r
 	}
-	r.out, r.buf, r.redo, r.crc = redo, rbuf, true, checksum.CRC32(redo)
+	r.out, r.mismatch, r.quarantined, r.err = p.Heal(spec, nil, data, out, true, "pipeline.chunk")
+	if r.mismatch {
+		r.fellBack, r.crc = true, checksum.CRC32(r.out)
+	}
 	return r
+}
+
+// Heal is the verified-compression ladder, the only one: verify out
+// against data; on a mismatch re-execute on the trusted scalar path and
+// verify the replacement; a second failure is unrecoverable and surfaces
+// as a typed integrity.CorruptError naming hop. engine says the C-Engine
+// produced out, so the verdict feeds its integrity ledger — a clean result
+// is readmission evidence for a quarantined engine, a mismatch a strike
+// that may quarantine it. A payload that verifies is returned as it came.
+// A replacement is appended to dst, the caller's buffer, which may be the
+// one holding out: the corrupt bytes are dead by then, so healing swaps no
+// buffers and the caller still Puts exactly what it drew.
+func (p *Pipeline) Heal(spec Spec, dst, data, out []byte, engine bool, hop string) (healed []byte, mismatch, quarantined bool, err error) {
+	if p.Verify(spec, data, out) {
+		if engine {
+			p.dev.CEngine().ReportVerified()
+		}
+		return out, false, false, nil
+	}
+	quarantined = engine && p.dev.CEngine().ReportCorrupt()
+	healed, err = EncodeScalar(spec, dst, data)
+	if err == nil && !p.Verify(spec, data, healed[len(dst):]) {
+		err = &integrity.CorruptError{Hop: hop, Segment: spec.Algo.String(), Want: uint32(len(data))}
+	}
+	return healed, true, quarantined, err
 }
 
 // Verify answers "does this compressed payload faithfully encode data?":
 // a decode-and-compare for the lossless codecs, the scalar-reference
 // differential referee for SZ3 (whose lossiness makes decode-compare
 // inapplicable but whose slab kernels are pinned byte-identical to the
-// reference walk). The deflate path is pooled and allocation-free so
-// VerifySampled keeps the chunk hot path at zero allocations per op.
+// reference walk). A DEFLATE-backed SZ3 container — the engine split,
+// whose backend stage ran on the C-Engine — is judged by its core stream:
+// DEFLATE encodings are not unique, so the body is inflated and compared
+// with the reference core, which catches both a corrupt slab-produced core
+// and a corrupt engine result. The deflate path is pooled and
+// allocation-free so VerifySampled keeps the chunk hot path at zero
+// allocations per op.
 func (p *Pipeline) Verify(spec Spec, data, out []byte) bool {
 	switch spec.Algo {
 	case AlgoDeflate:
@@ -767,45 +834,20 @@ func (p *Pipeline) Verify(spec Spec, data, out []byte) bool {
 		dec, err := Decode(spec.Algo, nil, out, len(data))
 		return err == nil && bytes.Equal(dec, data)
 	case AlgoSZ3F32, AlgoSZ3F64:
+		if spec.SZ3.Backend == sz3.BackendDeflate {
+			backend, body, err := sz3.SplitContainer(out)
+			ref, rerr := sz3ScalarCore(spec, data)
+			if err != nil || rerr != nil || backend != sz3.BackendDeflate {
+				return false
+			}
+			got, err := flate.DecompressLimit(body, len(ref)+64)
+			return err == nil && bytes.Equal(got, ref)
+		}
 		// The reference walk is deterministic, so the trusted scalar
 		// re-execution doubles as the referee.
-		ref, _, err := p.EncodeScalar(spec, data)
+		ref, err := sz3Encode(spec, data, true)
 		return err == nil && bytes.Equal(ref, out)
 	default:
 		return false
-	}
-}
-
-// EncodeScalar is the trusted scalar re-execution path taken after a
-// verification mismatch: the token-refereed DEFLATE encoder (stored-block
-// recovery) for the deflate-based codecs, the scalar reference walk for
-// SZ3, a plain recompression for LZ4 (re-verified by the caller).
-func (p *Pipeline) EncodeScalar(spec Spec, data []byte) (out, buf []byte, err error) {
-	switch spec.Algo {
-	case AlgoDeflate:
-		buf = p.pool.GetCap(flate.CompressBound(len(data)))
-		out, _ = flate.AppendCompressVerified(buf, data, spec.level())
-		return out, buf, nil
-	case AlgoZlib:
-		body, _ := flate.AppendCompressVerified(nil, data, spec.level())
-		return zlibfmt.Assemble(spec.level(), body, data), nil, nil
-	case AlgoLZ4:
-		return p.Encode(spec, data)
-	case AlgoSZ3F32:
-		vals, cerr := bytesToF32(data)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		out, err = sz3.CompressFloat32Reference(vals, spec.SZ3)
-		return out, nil, err
-	case AlgoSZ3F64:
-		vals, cerr := bytesToF64(data)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		out, err = sz3.CompressFloat64Reference(vals, spec.SZ3)
-		return out, nil, err
-	default:
-		return nil, nil, fmt.Errorf("%w: algo %d", ErrBadSpec, spec.Algo)
 	}
 }

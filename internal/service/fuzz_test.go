@@ -7,6 +7,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"pedal/internal/core"
 )
 
 // fuzzCap bounds decoded payloads during fuzzing so the corpus cannot
@@ -37,17 +39,36 @@ func FuzzProtocol(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge[12:], 1<<62)
 	f.Add(huge)
 
+	// Requests go through the reader the connection handler runs, with the
+	// memory budget off (heap bodies) and on (pool-drawn bodies).
+	var servers []*Server
+	for _, budget := range []int64{0, 4 * fuzzCap} {
+		lib, err := core.Init(core.Options{MemBudget: budget})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(lib.Finalize)
+		servers = append(servers, NewServer(lib))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRequestRoundTrip(t, data)
+		for _, s := range servers {
+			fuzzRequestRoundTrip(t, s, data)
+		}
 		fuzzResponseRoundTrip(t, data)
 	})
 }
 
-func fuzzRequestRoundTrip(t *testing.T, data []byte) {
-	req, err := readRequest(bytes.NewReader(data))
+func fuzzRequestRoundTrip(t *testing.T, s *Server, data []byte) {
+	defer func() {
+		if n := s.lib.PoolOutstanding(); n != 0 {
+			t.Fatalf("%d request bodies still drawn from the pool", n)
+		}
+	}()
+	req, putBody, _, err := s.readRequestGoverned(bytes.NewReader(data))
 	if err != nil {
 		return // malformed input must only error, never panic or hang
 	}
+	defer putBody()
 	if len(req.data) > fuzzCap {
 		return
 	}
@@ -55,10 +76,11 @@ func fuzzRequestRoundTrip(t *testing.T, data []byte) {
 	if err := writeRequest(&buf, req); err != nil {
 		t.Fatalf("re-encode decoded request: %v", err)
 	}
-	again, err := readRequest(bytes.NewReader(buf.Bytes()))
+	again, putAgain, _, err := s.readRequestGoverned(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("re-decode encoded request: %v", err)
 	}
+	defer putAgain()
 	if again.op != req.op || again.algo != req.algo || again.engine != req.engine ||
 		again.dtype != req.dtype || again.maxOut != req.maxOut || !bytes.Equal(again.data, req.data) {
 		t.Fatalf("request round trip changed the frame: %+v != %+v", again, req)

@@ -285,19 +285,6 @@ func readRequestHeader(r io.Reader) (request, uint64, error) {
 	return req, n, nil
 }
 
-func readRequest(r io.Reader) (request, error) {
-	req, n, err := readRequestHeader(r)
-	if err != nil {
-		return request{}, err
-	}
-	data, err := readBody(r, n)
-	if err != nil {
-		return request{}, err
-	}
-	req.data = data
-	return req, nil
-}
-
 // bodyChunk is the allocation step for reading length-prefixed bodies.
 const bodyChunk = 1 << 20
 

@@ -37,7 +37,7 @@ const DefaultQueueDepth = 16
 // connState tracks one connection's handler for graceful drain: busy
 // means the handler is between a fully read request and its response,
 // so Shutdown must let it finish; idle handlers are blocked in
-// readRequest and get their read deadline fired instead.
+// readRequestGoverned and get their read deadline fired instead.
 type connState struct {
 	busy bool
 }
@@ -299,7 +299,7 @@ func (s *Server) BrownoutRung() int { return int(s.rung.Load()) }
 // answer statusBusy instead of executing, converting memory pressure
 // into cooperative backpressure. putBody releases a pooled body back
 // to the budget and must be called exactly once.
-func (s *Server) readRequestGoverned(conn net.Conn) (req request, putBody func(), shed bool, err error) {
+func (s *Server) readRequestGoverned(conn io.Reader) (req request, putBody func(), shed bool, err error) {
 	req, n, err := readRequestHeader(conn)
 	if err != nil {
 		return request{}, nil, false, err
@@ -455,7 +455,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.ln = nil
 	var inflight int
 	// Fire the read deadline of idle handlers so their blocking
-	// readRequest returns now; busy handlers finish their response and
+	// readRequestGoverned returns now; busy handlers finish their response and
 	// then observe draining at the top of their loop. Both the poke and
 	// the handler's own deadline/busy transitions happen under s.mu, so
 	// no request can slip between the two states unobserved.

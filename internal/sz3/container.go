@@ -26,11 +26,17 @@ func SplitContainer(comp []byte) (BackendKind, []byte, error) {
 	return b, comp[6:], nil
 }
 
+// AppendContainer appends a container around an already
+// backend-compressed body to dst. An empty body appends the framing
+// alone, for a caller that produces the body straight behind it.
+func AppendContainer(dst []byte, backend BackendKind, body []byte) []byte {
+	dst = append(dst, magic[:]...)
+	dst = append(dst, containerVersion, byte(backend))
+	return append(dst, body...)
+}
+
 // BuildContainer assembles a container around an already
 // backend-compressed body.
 func BuildContainer(backend BackendKind, body []byte) []byte {
-	out := make([]byte, 0, len(body)+6)
-	out = append(out, magic[:]...)
-	out = append(out, containerVersion, byte(backend))
-	return append(out, body...)
+	return AppendContainer(make([]byte, 0, len(body)+6), backend, body)
 }

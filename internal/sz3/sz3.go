@@ -261,10 +261,7 @@ func assemblePayload(cfg Config, dt DataType, eb float64, flags []bool, models [
 	case BackendNone:
 		wrapped = payload
 	}
-	out := make([]byte, 0, len(wrapped)+6)
-	out = append(out, magic[:]...)
-	out = append(out, containerVersion, byte(cfg.Backend))
-	return append(out, wrapped...), nil
+	return BuildContainer(cfg.Backend, wrapped), nil
 }
 
 // chooseRegression implements the Auto predictor's per-block decision: fit
