@@ -206,7 +206,7 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 // BenchmarkVerifiedCompress drives CompressPipelined with VerifySampled
 // — the compute fault domain's steady-state screening mode, which
 // decode-verifies one chunk in eight against the source before release
-// — so BENCH_pipeline.json records what verification costs next to
+// — so a profile shows what verification costs next to
 // BenchmarkPipelineOverlap's unverified baseline. The verified-overhead
 // metric is the wall-clock ratio against an Off-mode library on the
 // same payload; the acceptance bar is < 1.10.

@@ -104,9 +104,8 @@ func (l *Library) decompressLossless(o *op, algo AlgoID, body []byte, maxOutput 
 	supported := o.rep.Engine == hwmodel.CEngine && l.dev.SupportsCEngine(hw, hwmodel.Decompress)
 	var engineErr error
 	if supported && l.engineAllowed(o) {
-		staging, release := l.stage(o, body)
-		defer release()
-		res, err := l.ctx.Submit(o.ctx, o.bd, hw, hwmodel.Decompress, staging, maxOutput)
+		l.chargeEngineBufPrep(o, len(body))
+		res, err := l.ctx.Submit(o.ctx, o.bd, hw, hwmodel.Decompress, body, maxOutput)
 		l.noteEngineResult(o, err)
 		if err == nil {
 			return res.Output, nil

@@ -33,7 +33,6 @@ func (l *Library) PipelineSpec(d Design, dt DataType) (pipeline.Spec, error) {
 	}
 	spec.Engine = d.Engine == hwmodel.CEngine || d.Algo == AlgoHybrid
 	spec.Verify = l.opts.Verify
-	spec.VerifySampleN = l.opts.VerifySampleN
 	spec.SDC = l.sdc
 	// Chunks are independent 1-D streams; the multi-dim shape cannot
 	// survive chunking, so the per-chunk config drops Dims.
@@ -263,7 +262,7 @@ func (l *Library) newPipelinedSession(engine hwmodel.Engine, body []byte, maxOut
 	if maxOutput > 0 && origLen > maxOutput {
 		return nil, fmt.Errorf("core: pipelined payload of %d bytes exceeds receive buffer %d", origLen, maxOutput)
 	}
-	spec := pipeline.Spec{Algo: algo, Engine: engine == hwmodel.CEngine, Level: l.opts.Level}
+	spec := pipeline.Spec{Algo: algo, Engine: engine == hwmodel.CEngine}
 	sess, err := l.pl.NewDecompress(spec, count, chunkSize, origLen, srcCRC)
 	if err != nil {
 		return nil, err

@@ -25,11 +25,8 @@ import (
 	"pedal/internal/stats"
 )
 
-// Errors returned by the SDK layer.
-var (
-	ErrNotMapped = errors.New("doca: buffer not DOCA-mapped")
-	ErrClosed    = errors.New("doca: context closed")
-)
+// ErrClosed is returned by submissions on a closed context.
+var ErrClosed = errors.New("doca: context closed")
 
 // RetryPolicy bounds Submit's handling of transient C-Engine failures:
 // queue-full rejections, transient faults, detected output corruption,
@@ -74,9 +71,9 @@ func (p RetryPolicy) normalized() RetryPolicy {
 type Context struct {
 	dev *dpu.Device
 	// total is the lifetime breakdown given to Init. It takes the charges
-	// that belong to no operation: Init itself, MMap registrations and
-	// Reopen. Per-operation charges go to the breakdown the caller hands
-	// to Submit and SoCRun.
+	// that belong to no operation: Init itself and Reopen. Per-operation
+	// charges go to the breakdown the caller hands to Submit, SoCRun and
+	// MMap.
 	total *stats.Breakdown
 
 	// mu guards the mutable context state below: operations submit
@@ -88,10 +85,6 @@ type Context struct {
 	closed  bool
 	policy  RetryPolicy
 	reopens uint64
-
-	// mapped tracks registered buffers (identity by slice backing array
-	// start). Real DOCA refuses jobs on unregistered memory.
-	mapped map[*byte]int
 }
 
 // Init opens the device and builds the DOCA environment, charging the
@@ -103,7 +96,7 @@ func Init(dev *dpu.Device, bd *stats.Breakdown) (*Context, error) {
 		return nil, errors.New("doca: nil device")
 	}
 	c := &Context{
-		dev: dev, total: bd, mapped: make(map[*byte]int),
+		dev: dev, total: bd,
 		policy: DefaultRetryPolicy(),
 		rng:    faults.NewRand(1),
 	}
@@ -137,21 +130,17 @@ func (c *Context) Close() {
 }
 
 // Reopen models the DOCA device re-open performed during an engine
-// hot-reset: every memory-map registration built against the dead engine
-// context is invalidated (real DOCA work queues and buf inventories do
-// not survive a context destroy), the rebuild cost is charged to
-// PhaseReset, and callers must re-register buffers before submitting
-// again. core installs this as the engine's reset hook so accounting and
-// mapping state track the hardware state machine. The hook runs on the
-// watchdog goroutine and belongs to no operation, so the cost goes to
-// the lifetime total.
+// hot-reset (real DOCA work queues and buf inventories do not survive a
+// context destroy) and charges the rebuild cost to PhaseReset. core
+// installs this as the engine's reset hook so accounting tracks the
+// hardware state machine. The hook runs on the watchdog goroutine and
+// belongs to no operation, so the cost goes to the lifetime total.
 func (c *Context) Reopen() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	c.mapped = make(map[*byte]int)
 	c.reopens++
 	c.mu.Unlock()
 	c.total.Add(stats.PhaseReset, hwmodel.ResetCost(c.dev.Generation()))
@@ -164,60 +153,12 @@ func (c *Context) Reopens() uint64 {
 	return c.reopens
 }
 
-// MMap registers buf as DOCA-operable memory, charging the buffer
-// preparation cost (allocation + pinning + inventory registration). A
-// buffer must be mapped before jobs may reference it.
-func (c *Context) MMap(buf []byte) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	if len(buf) == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	c.mapped[&buf[0]] = len(buf)
-	c.mu.Unlock()
-	c.total.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(c.dev.Generation(), hwmodel.CEngine, len(buf)))
-	return nil
-}
-
-// RegisterPrewarmed records buf as DOCA-operable without charging
-// preparation cost: the buffer belongs to a pool whose mapping was paid
-// once at PEDAL_Init (paper §III-C). Baseline runs must use MMap instead.
-func (c *Context) RegisterPrewarmed(buf []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	c.mapped[&buf[0]] = len(buf)
-	return nil
-}
-
-// IsMapped reports whether buf was previously registered with MMap.
-func (c *Context) IsMapped(buf []byte) bool {
-	if len(buf) == 0 {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.mapped[&buf[0]]
-	return ok && n >= len(buf)
-}
-
-// Unmap releases a registration.
-func (c *Context) Unmap(buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	c.mu.Lock()
-	delete(c.mapped, &buf[0])
-	c.mu.Unlock()
+// MMap charges bd the cost of making n bytes DOCA-operable per message
+// (allocation + pinning + inventory registration), which the paper's
+// baseline pays on every job. PEDAL maps its pool once at PEDAL_Init
+// (§III-C), so per message it pays only the memcpy into that memory.
+func (c *Context) MMap(bd *stats.Breakdown, n int) {
+	bd.Add(stats.PhaseBufPrep, hwmodel.BufPrepCost(c.dev.Generation(), hwmodel.CEngine, n))
 }
 
 // Result carries a completed job's output and its modelled duration.
@@ -228,9 +169,11 @@ type Result struct {
 
 // Submit runs algo/op over input on the C-Engine, charging the modelled
 // hardware time and every resilience event to bd, the submitting
-// operation's breakdown. input must be DOCA-mapped. When the hardware
-// lacks the path, Submit fails with dpu.ErrUnsupported — PEDAL's
-// capability fallback then redirects the operation to the SoC.
+// operation's breakdown. The engine copies input at submit, so the caller
+// owns it again once Submit returns, even when the job it abandoned is
+// still queued. When the hardware lacks the path, Submit fails with
+// dpu.ErrUnsupported — PEDAL's capability fallback then redirects the
+// operation to the SoC.
 //
 // Transient failures (queue full, transient engine faults, checksum
 // mismatches, missed deadlines) are retried per the RetryPolicy with
@@ -251,9 +194,6 @@ func (c *Context) Submit(ctx context.Context, bd *stats.Breakdown, algo hwmodel.
 	c.mu.Unlock()
 	if closed {
 		return Result{}, ErrClosed
-	}
-	if !c.IsMapped(input) {
-		return Result{}, fmt.Errorf("%w: submit requires a registered source buffer", ErrNotMapped)
 	}
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {

@@ -37,46 +37,22 @@ func TestInitChargesInitCost(t *testing.T) {
 
 func TestMMapChargesBufPrep(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField2)
-	buf := make([]byte, 1<<20)
 	before := bd.Get(stats.PhaseBufPrep)
-	if err := ctx.MMap(buf); err != nil {
-		t.Fatal(err)
-	}
+	ctx.MMap(bd, 1<<20)
 	if bd.Get(stats.PhaseBufPrep) <= before {
 		t.Fatal("MMap charged nothing")
-	}
-	if !ctx.IsMapped(buf) {
-		t.Fatal("buffer not tracked as mapped")
-	}
-	ctx.Unmap(buf)
-	if ctx.IsMapped(buf) {
-		t.Fatal("unmap did not release")
-	}
-}
-
-func TestSubmitRequiresMapping(t *testing.T) {
-	ctx, bd := newCtx(t, hwmodel.BlueField2)
-	src := []byte(strings.Repeat("must be mapped first ", 100))
-	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("want ErrNotMapped, got %v", err)
 	}
 }
 
 func TestSubmitCompressDecompress(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	src := []byte(strings.Repeat("full doca path ", 500))
-	if err := ctx.MMap(src); err != nil {
-		t.Fatal(err)
-	}
 	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.Get(stats.PhaseCompress) != res.Virtual {
 		t.Fatal("compression virtual time not charged")
-	}
-	if err := ctx.MMap(res.Output); err != nil {
-		t.Fatal(err)
 	}
 	dec, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+16)
 	if err != nil {
@@ -93,7 +69,6 @@ func TestSubmitCompressDecompress(t *testing.T) {
 func TestUnsupportedPathSurfaces(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField3)
 	src := []byte("bf3 cannot compress on the engine")
-	ctx.MMap(src)
 	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); !errors.Is(err, dpu.ErrUnsupported) {
 		t.Fatalf("want dpu.ErrUnsupported, got %v", err)
 	}
@@ -113,9 +88,6 @@ func TestSoCRunCharges(t *testing.T) {
 func TestClosedContext(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	ctx.Close()
-	if err := ctx.MMap(make([]byte, 8)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("MMap after close: %v", err)
-	}
 	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, []byte("x"), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v", err)
 	}
@@ -137,12 +109,12 @@ func TestInitOverheadDominatesSmallMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.MMap(src)
+	ctx.MMap(bd, len(src))
 	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.MMap(res.Output)
+	ctx.MMap(bd, len(res.Output))
 	if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(src)+64); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +128,6 @@ func TestInitOverheadDominatesSmallMessages(t *testing.T) {
 func TestSoftwareCanDecodeEngineOutput(t *testing.T) {
 	ctx, bd := newCtx(t, hwmodel.BlueField2)
 	src := []byte(strings.Repeat("engine to software ", 300))
-	ctx.MMap(src)
 	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,6 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 		faults.Config{Seed: 7, PTransient: 0.6},
 		RetryPolicy{MaxAttempts: 10},
 	)
-	ctx.MMap(resilienceSrc)
 	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if err != nil {
 		t.Fatalf("retries did not absorb transient faults: %v", err)
@@ -50,7 +49,6 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 	if bd.Get(stats.PhaseRetry) == 0 {
 		t.Fatal("retry backoff charged no virtual time")
 	}
-	ctx.MMap(res.Output)
 	dec, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Decompress, res.Output, len(resilienceSrc)+16)
 	if err != nil || !bytes.Equal(dec.Output, resilienceSrc) {
 		t.Fatalf("round trip under faults failed: %v", err)
@@ -62,7 +60,6 @@ func TestPersistentFaultFailsFast(t *testing.T) {
 		faults.Config{Seed: 7, PPersistent: 1.0},
 		RetryPolicy{MaxAttempts: 10},
 	)
-	ctx.MMap(resilienceSrc)
 	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrHardware) {
 		t.Fatalf("want ErrHardware, got %v", err)
@@ -78,7 +75,6 @@ func TestCorruptionDetectedAndRetried(t *testing.T) {
 		faults.Config{Seed: 7, PCorrupt: 1.0, MaxInjections: 2},
 		RetryPolicy{MaxAttempts: 5},
 	)
-	ctx.MMap(resilienceSrc)
 	res, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if err != nil {
 		t.Fatalf("corruption not recovered: %v", err)
@@ -99,7 +95,6 @@ func TestCorruptionExhaustsRetries(t *testing.T) {
 		faults.Config{Seed: 7, PCorrupt: 1.0},
 		RetryPolicy{MaxAttempts: 3},
 	)
-	ctx.MMap(resilienceSrc)
 	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt after exhausted retries, got %v", err)
@@ -114,7 +109,6 @@ func TestJobDeadlineFires(t *testing.T) {
 		faults.Config{Seed: 7, PHang: 1.0, HangDelay: 50 * time.Millisecond},
 		RetryPolicy{MaxAttempts: 2, JobDeadline: 5 * time.Millisecond},
 	)
-	ctx.MMap(resilienceSrc)
 	_, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, resilienceSrc, 0)
 	if !errors.Is(err, dpu.ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
@@ -147,7 +141,6 @@ func TestConcurrentSubmittersRetry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			src := append([]byte(nil), resilienceSrc...)
-			ctx.MMap(src)
 			bd := stats.NewBreakdown()
 			for i := 0; i < 20; i++ {
 				if _, err := ctx.Submit(context.Background(), bd, hwmodel.Deflate, hwmodel.Compress, src, 0); err != nil {

@@ -14,6 +14,7 @@ import (
 	"pedal/internal/hwmodel"
 	"pedal/internal/integrity"
 	"pedal/internal/lz4"
+	"pedal/internal/mempool"
 	"pedal/internal/trace"
 )
 
@@ -71,8 +72,9 @@ func (r *JobResult) VerifyOutput() bool {
 }
 
 // Job describes one compression or decompression operation submitted to
-// the C-Engine. Input must stay unmodified until completion, mirroring
-// the DOCA buffer ownership rules.
+// the C-Engine. Submit copies Input into engine memory before it returns,
+// so the caller owns Input again as soon as Submit or TrySubmit returns,
+// whatever later happens to the job.
 type Job struct {
 	Algo  hwmodel.Algo
 	Op    hwmodel.Op
@@ -174,15 +176,13 @@ type queued struct {
 
 // journalEntry is one in-flight job's journal record: enough to detect a
 // stall (submit timestamp scored against the hwmodel latency budget) and
-// to deterministically re-execute the work on the SoC path after engine
-// loss (input ref, algo, op, seq — the caller owns the input buffer and
-// replays through its software codec when the handle fails with
-// ErrEngineLost).
+// to name the work the caller replays on the SoC path, from its own input,
+// when the handle fails with ErrEngineLost.
 type journalEntry struct {
 	seq       uint64
 	algo      hwmodel.Algo
 	op        hwmodel.Op
-	input     []byte
+	bytes     int
 	submitted time.Time
 	handle    *JobHandle
 }
@@ -351,6 +351,12 @@ type CEngine struct {
 	gen hwmodel.Generation
 	// closeCh signals engine close to the watchdog goroutine.
 	closeCh chan struct{}
+	// inputs is the engine memory job inputs are copied into at submit.
+	// The worker returns each copy once its job can no longer read it, so
+	// the engine holds one per job it accepted and has not finished, plus
+	// one per submitter waiting for a queue slot. It is the engine's own,
+	// outside any library budget: a late job never holds a caller's bytes.
+	inputs *mempool.Pool
 
 	mu       sync.Mutex
 	closed   bool
@@ -493,6 +499,7 @@ func newCEngine(gen hwmodel.Generation) *CEngine {
 	e := &CEngine{
 		gen:      gen,
 		closeCh:  make(chan struct{}),
+		inputs:   mempool.New(),
 		state:    EngineLive,
 		epoch:    newEpoch(),
 		inflight: make(map[uint64]*journalEntry),
@@ -545,18 +552,19 @@ func (e *CEngine) InflightJobs() []InflightJob {
 	for _, je := range e.inflight {
 		out = append(out, InflightJob{
 			Seq: je.seq, Algo: je.algo, Op: je.op,
-			Bytes: len(je.input), Age: now.Sub(je.submitted),
+			Bytes: je.bytes, Age: now.Sub(je.submitted),
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 
-// Submit enqueues a job. It fails fast with ErrUnsupported when the
-// hardware lacks the path (callers should have checked Supports, the way
-// PEDAL's capability fallback does), with ErrQueueFull when the injector
-// models a busy work queue, with ErrEngineLost while the engine is
-// resetting or permanently degraded, and with ErrClosed after close.
+// Submit copies the job's input into engine memory and enqueues the job.
+// It fails fast with ErrUnsupported when the hardware lacks the path
+// (callers should have checked Supports, the way PEDAL's capability
+// fallback does), with ErrQueueFull when the injector models a busy work
+// queue, with ErrEngineLost while the engine is resetting or permanently
+// degraded, and with ErrClosed after close.
 func (e *CEngine) Submit(job Job) (*JobHandle, error) {
 	return e.submit(job, true)
 }
@@ -600,11 +608,12 @@ func (e *CEngine) submit(job Job, blocking bool) (*JobHandle, error) {
 	// this entry against the latency budget, and a wedge declaration
 	// fails it so the caller can replay on the SoC.
 	e.inflight[h.seq] = &journalEntry{
-		seq: h.seq, algo: job.Algo, op: job.Op, input: job.Input,
+		seq: h.seq, algo: job.Algo, op: job.Op, bytes: len(job.Input),
 		submitted: time.Now(), handle: h,
 	}
 	e.mu.Unlock()
 	defer ep.submitters.Done()
+	job.Input = append(e.inputs.GetCap(len(job.Input)), job.Input...)
 	q := queued{job: job, handle: h, fault: dec, seq: h.seq}
 	// Enqueue outside the lock: a full queue must not wedge SetTracer or
 	// close behind a blocked send, and retire never races this send — it
@@ -615,24 +624,27 @@ func (e *CEngine) submit(job Job, blocking bool) (*JobHandle, error) {
 		case ep.queue <- q:
 			return h, nil
 		case <-ep.stop:
-			return nil, e.submitFailed(h.seq)
+			return nil, e.submitFailed(q)
 		}
 	}
 	select {
 	case ep.queue <- q:
 		return h, nil
 	case <-ep.stop:
-		return nil, e.submitFailed(h.seq)
+		return nil, e.submitFailed(q)
 	default:
 		e.journalRemove(h.seq)
+		e.inputs.Put(job.Input)
 		return nil, fmt.Errorf("%w: %v %v (queue depth %d)", ErrQueueFull, job.Algo, job.Op, cengineQueueDepth)
 	}
 }
 
-// submitFailed cleans the journal after an enqueue lost against epoch
-// retirement and picks the caller-facing error.
-func (e *CEngine) submitFailed(seq uint64) error {
-	e.journalRemove(seq)
+// submitFailed cleans up after an enqueue lost against epoch retirement —
+// the journal entry and the input copy — and picks the caller-facing
+// error.
+func (e *CEngine) submitFailed(q queued) error {
+	e.journalRemove(q.seq)
+	e.inputs.Put(q.job.Input)
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -668,42 +680,50 @@ func (e *CEngine) Run(job Job) JobResult {
 
 func (e *CEngine) worker(ep *engineEpoch) {
 	for q := range ep.queue {
-		if ep.stale.Load() {
-			// Reset-retired epoch: the hardware behind this queue is
-			// gone. The watchdog already failed journaled handles; the
-			// duplicate completion below is a dropped non-blocking send.
-			e.journalRemove(q.seq)
-			q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: epoch retired", ErrEngineLost)})
-			continue
-		}
-		if !q.job.Deadline.IsZero() && time.Now().After(q.job.Deadline) {
-			// Dead on arrival: the submitter's wait deadline has already
-			// fired. Executing would spend engine time on an abandoned
-			// result, so drop at dequeue.
-			e.noteExpired(q)
-			e.journalRemove(q.seq)
-			q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: expired in queue", ErrDeadline)})
-			continue
-		}
-		switch q.fault.Class {
-		case faults.Stall:
-			// Injected descriptor loss: the engine accepted the job and
-			// will never complete it. The journal entry stays; only the
-			// watchdog (or the caller's wait deadline) frees the caller.
-			continue
-		case faults.Wedge:
-			// Injected firmware wedge: stop draining entirely until the
-			// epoch is retired by a hot-reset or engine close.
-			<-ep.stop
-			e.journalRemove(q.seq)
-			q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: engine wedged", ErrEngineLost)})
-			continue
-		}
-		res := e.execute(q.job, q.fault)
-		res.Seq = q.seq
-		e.jobCompleted(q.seq)
-		q.handle.complete(res)
+		e.serve(ep, q)
+		// Executed or dropped, the job reads its input no more.
+		e.inputs.Put(q.job.Input)
 	}
+}
+
+// serve executes one dequeued job, or drops it when its epoch is stale,
+// its deadline has passed, or an injected stall or wedge swallows it.
+func (e *CEngine) serve(ep *engineEpoch, q queued) {
+	if ep.stale.Load() {
+		// Reset-retired epoch: the hardware behind this queue is gone.
+		// The watchdog already failed journaled handles; the duplicate
+		// completion below is a dropped non-blocking send.
+		e.journalRemove(q.seq)
+		q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: epoch retired", ErrEngineLost)})
+		return
+	}
+	if !q.job.Deadline.IsZero() && time.Now().After(q.job.Deadline) {
+		// Dead on arrival: the submitter's wait deadline has already
+		// fired. Executing would spend engine time on an abandoned
+		// result, so drop at dequeue.
+		e.noteExpired(q)
+		e.journalRemove(q.seq)
+		q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: expired in queue", ErrDeadline)})
+		return
+	}
+	switch q.fault.Class {
+	case faults.Stall:
+		// Injected descriptor loss: the engine accepted the job and will
+		// never complete it. The journal entry stays; only the watchdog
+		// (or the caller's wait deadline) frees the caller.
+		return
+	case faults.Wedge:
+		// Injected firmware wedge: stop draining entirely until the epoch
+		// is retired by a hot-reset or engine close.
+		<-ep.stop
+		e.journalRemove(q.seq)
+		q.handle.complete(JobResult{Seq: q.seq, Err: fmt.Errorf("%w: engine wedged", ErrEngineLost)})
+		return
+	}
+	res := e.execute(q.job, q.fault)
+	res.Seq = q.seq
+	e.jobCompleted(q.seq)
+	q.handle.complete(res)
 }
 
 func (e *CEngine) noteExpired(q queued) {
@@ -765,7 +785,7 @@ func (e *CEngine) watchdog(cfg WatchdogConfig) {
 // cost scales with the expanded output, unknown while in flight, so the
 // compressed size is inflated by a nominal expansion ratio first.
 func (e *CEngine) budget(cfg WatchdogConfig, je *journalEntry) time.Duration {
-	n := len(je.input)
+	n := je.bytes
 	if je.op == hwmodel.Decompress {
 		n *= 8
 	}
@@ -820,11 +840,11 @@ func (e *CEngine) scan(cfg WatchdogConfig) bool {
 
 	for _, je := range overdue {
 		je.handle.complete(JobResult{Seq: je.seq, Err: fmt.Errorf(
-			"%w: job %d stalled (%v %v over %d bytes)", ErrEngineLost, je.seq, je.algo, je.op, len(je.input))})
+			"%w: job %d stalled (%v %v over %d bytes)", ErrEngineLost, je.seq, je.algo, je.op, je.bytes)})
 		if tr != nil {
 			tr.Record(trace.Event{
 				Engine: engineWatchdog, Algo: je.algo.String(),
-				Op: "engine_stall_detected", InBytes: len(je.input), Err: "job overdue",
+				Op: "engine_stall_detected", InBytes: je.bytes, Err: "job overdue",
 			})
 		}
 		if hook != nil {

@@ -1,6 +1,7 @@
 package dpu
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"pedal/internal/faults"
+	"pedal/internal/flate"
 	"pedal/internal/hwmodel"
 )
 
@@ -162,5 +164,34 @@ func TestSubmitCloseRaceOnFullQueue(t *testing.T) {
 	wg.Wait()
 	if _, err := d.CEngine().Submit(compressJob()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close submit: %v", err)
+	}
+}
+
+// Submit copies the input: the caller may overwrite it as soon as Submit
+// returns, even while the job waits out a hang, and the copy goes back to
+// the engine's pool once the job is done.
+func TestSubmitCopiesInput(t *testing.T) {
+	d := newBF2(t)
+	d.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 1, PHang: 1.0, HangDelay: 10 * time.Millisecond, MaxInjections: 1}))
+	src := append([]byte(nil), faultSrc...)
+	h, err := d.CEngine().Submit(Job{Algo: hwmodel.Deflate, Op: hwmodel.Compress, Input: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		src[i] = 0
+	}
+	res := h.Wait()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got, err := flate.Decompress(res.Output); err != nil || !bytes.Equal(got, faultSrc) {
+		t.Fatalf("engine output is not the input as submitted (err %v)", err)
+	}
+	inputs := d.CEngine().inputs
+	for end := time.Now().Add(time.Second); inputs.Outstanding() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("engine still holds %d input copies after its job finished", inputs.Outstanding())
+		}
 	}
 }

@@ -56,7 +56,7 @@ func ExtEngineFaults(o Options) (Table, error) {
 		{"reset-exhaust", &faults.Config{Seed: 56, PWedge: 0.05, PResetFail: 1.0, MaxInjections: 1}},
 	}
 	design := core.Design{Algo: core.AlgoDeflate, Engine: hwmodel.CEngine}
-	serialPayload := bytes.Repeat([]byte("pedal engine fault soak payload: compressible text / "), 78) // ≈4 KiB
+	serialPayload := bytes.Repeat([]byte("pedal engine fault soak payload: compressible text / "), 78)   // ≈4 KiB
 	pipePayload := bytes.Repeat([]byte("pedal engine fault soak pipelined chunk payload text / "), 4800) // ≈256 KiB → 4 chunks
 	for _, sc := range scenarios {
 		var inj *faults.Injector

@@ -36,7 +36,7 @@ func TestSamplerModes(t *testing.T) {
 func TestSamplerDefaultPeriod(t *testing.T) {
 	s := NewSampler(VerifySampled, 0)
 	hits := 0
-	for i := 0; i < 8 * 10; i++ {
+	for i := 0; i < 8*10; i++ {
 		if s.Hit() {
 			hits++
 		}

@@ -112,10 +112,10 @@ func (cfg DetectorConfig) withDefaults() DetectorConfig {
 type detector struct {
 	cfg DetectorConfig
 
-	mu   sync.Mutex
-	last []time.Time     // wall-clock time of each rank's last beat
-	virt []time.Duration // virtual-clock stamp of each rank's last beat
-	dead []bool
+	mu        sync.Mutex
+	last      []time.Time     // wall-clock time of each rank's last beat
+	virt      []time.Duration // virtual-clock stamp of each rank's last beat
+	dead      []bool
 	deadCount int
 	refs      int  // live Comm handles; the monitor stops at zero
 	armed     bool // monitor running; set by arm after world construction

@@ -45,8 +45,8 @@ type envelope struct {
 	epoch uint32
 	// world is the sender's world (transport) rank; src is its dense
 	// group rank, resolved at match time (it changes across shrinks).
-	world int
-	src   int
+	world   int
+	src     int
 	tag     int
 	seq     uint64
 	origLen int

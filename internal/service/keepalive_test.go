@@ -12,7 +12,9 @@ import (
 )
 
 // TestKeepaliveHealthySession: against a live server, the keepalive
-// stays quiet and real requests keep flowing alongside the probes.
+// stays quiet and real requests keep flowing alongside the probes. The
+// interval and miss budget leave room for a loaded two-core box under
+// -race; the loop's sleeps still span at least five intervals.
 func TestKeepaliveHealthySession(t *testing.T) {
 	addr, _ := startServer(t)
 	c, err := Dial(addr)
@@ -20,7 +22,7 @@ func TestKeepaliveHealthySession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.StartKeepalive(2*time.Millisecond, 3)
+	c.StartKeepalive(20*time.Millisecond, 5)
 	payload := []byte("keepalive does not disturb the data plane")
 	for i := 0; i < 20; i++ {
 		msg, err := c.Compress(core.Design{Algo: core.AlgoDeflate, Engine: hwmodel.SoC}, core.TypeBytes, payload)
@@ -30,7 +32,7 @@ func TestKeepaliveHealthySession(t *testing.T) {
 		if _, err := c.Decompress(hwmodel.SoC, core.TypeBytes, msg, len(payload)); err != nil {
 			t.Fatalf("request %d decompress: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if c.Dead() {
 		t.Fatal("keepalive declared a live server dead")

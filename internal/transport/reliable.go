@@ -97,11 +97,11 @@ type reliableEndpoint struct {
 	bd    *stats.Breakdown
 
 	mu          sync.Mutex
-	nextSeq     []uint64            // per dst: last assigned sequence
+	nextSeq     []uint64             // per dst: last assigned sequence
 	outstanding []map[uint64]*relOut // per dst: unacked frames
-	expected    []uint64            // per src: next expected sequence
-	oooBuf      []map[uint64]Frame  // per src: out-of-order holding
-	lastNack    []uint64            // per src: last NACKed expected seq
+	expected    []uint64             // per src: next expected sequence
+	oooBuf      []map[uint64]Frame   // per src: out-of-order holding
+	lastNack    []uint64             // per src: last NACKed expected seq
 	failed      error
 
 	delivery chan Frame
