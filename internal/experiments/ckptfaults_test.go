@@ -14,6 +14,7 @@ func TestExtCkptFaultsSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenIn(t, "soak", tb)
 	t.Logf("\n%s", tb)
 	m := tb.Metrics
 

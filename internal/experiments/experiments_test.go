@@ -10,7 +10,7 @@ import (
 
 var quick = Options{Quick: true}
 
-var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.txt from this run")
+var update = flag.Bool("update", false, "rewrite testdata/{quick,soak}/<id>.txt from this run")
 
 // checkGolden compares the rendered quick-mode table with the committed
 // testdata/quick/<id>.txt. These fourteen experiments run wholly on the
@@ -20,7 +20,15 @@ var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.txt from th
 // change.
 func checkGolden(t *testing.T, tab Table) {
 	t.Helper()
-	path := filepath.Join("testdata", "quick", tab.ID+".txt")
+	checkGoldenIn(t, "quick", tab)
+}
+
+// checkGoldenIn compares tab with the committed testdata/<dir>/<id>.txt,
+// or rewrites that file under -update. The seeded chaos soaks whose tables
+// carry no wall-clock column pin themselves under testdata/soak.
+func checkGoldenIn(t *testing.T, dir string, tab Table) {
+	t.Helper()
+	path := filepath.Join("testdata", dir, tab.ID+".txt")
 	got := tab.String()
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
