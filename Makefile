@@ -34,7 +34,7 @@ FUZZ_TARGETS = \
 	./internal/service:FuzzProtocol \
 	./internal/ckpt:FuzzManifest
 
-.PHONY: all fmt build vet test race fuzz wallbench check soak figures-check
+.PHONY: all fmt build vet test race fuzz wallbench check soak figures-check exact-check
 
 all: check
 
@@ -92,6 +92,16 @@ soak:
 # intended change: append -update to the go test line to re-pin.
 figures-check:
 	$(GO) test -count=1 -run '^Test(Table4|Fig7aShape|Fig7bShape|Fig8HeadlineMetrics|Fig9Shape|Table5aShape|Table5bShape|Fig10Shape|Fig10fShape|Fig11Shape|ExtDeployShape|ExtHybridShape|ExtPipelineShape|ExtAblationShape)$$' ./internal/experiments
+
+# Every exact gate a refactor must keep, in one command: the fourteen
+# figure tables above, the golden per-design reports, every fault
+# injector's and schedule's decision sequence (internal/faults/testdata),
+# and the three seeded soak tables (internal/experiments/testdata/soak).
+# After an intended change: append -update to that package's go test line.
+exact-check: figures-check
+	$(GO) test -count=1 -run '^TestGoldenReports$$' ./internal/core
+	$(GO) test -count=1 -run '^TestFaultSchedulesGolden$$' ./internal/faults
+	$(GO) test -count=1 -run '^TestExt(Engine|Ckpt|Rank)FaultsSoak$$' ./internal/experiments
 
 check: fmt build vet test race fuzz
 ifeq ($(SOAK),1)

@@ -103,7 +103,7 @@ func (l *Library) decompressLossless(o *op, algo AlgoID, body []byte, maxOutput 
 	hw := algo.hwAlgo()
 	supported := o.rep.Engine == hwmodel.CEngine && l.dev.SupportsCEngine(hw, hwmodel.Decompress)
 	var engineErr error
-	if supported && l.engineAllowed(o) {
+	if supported && l.engineAllowed(o, hwmodel.Decompress) {
 		l.chargeEngineBufPrep(o, len(body))
 		res, err := l.ctx.Submit(o.ctx, o.bd, hw, hwmodel.Decompress, body, maxOutput)
 		l.noteEngineResult(o, err)

@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Storage-level failure classes. These model what a disk (or the kernel
 // above it) does to a checkpoint store: writes that land only partially,
@@ -29,21 +26,6 @@ const (
 	// survive at *every* possible kill point.
 	CrashMidCommit
 )
-
-// diskClassString covers the disk classes for Class.String.
-func diskClassString(c Class) (string, bool) {
-	switch c {
-	case DiskTear:
-		return "disk-tear", true
-	case DiskRot:
-		return "disk-rot", true
-	case DiskStall:
-		return "disk-stall", true
-	case CrashMidCommit:
-		return "crash-mid-commit", true
-	}
-	return "", false
-}
 
 // DiskDecision is the injector's verdict for one storage operation.
 type DiskDecision struct {
@@ -85,12 +67,9 @@ type DiskFaultConfig struct {
 // DiskInjector hands out per-operation storage fault decisions from a
 // deterministic sequence. Safe for concurrent use.
 type DiskInjector struct {
-	mu       sync.Mutex
-	cfg      DiskFaultConfig
-	rng      Rand
-	ops      uint64
-	injected uint64
-	crashed  bool
+	stream
+	cfg     DiskFaultConfig
+	crashed bool
 }
 
 // NewDiskInjector builds an injector from cfg. A nil injector (or a
@@ -99,7 +78,7 @@ func NewDiskInjector(cfg DiskFaultConfig) *DiskInjector {
 	if cfg.Stall <= 0 {
 		cfg.Stall = 2 * time.Millisecond
 	}
-	return &DiskInjector{cfg: cfg, rng: *NewRand(cfg.Seed)}
+	return &DiskInjector{stream: newStream(cfg.Seed, cfg.MaxInjections), cfg: cfg}
 }
 
 // Next draws the fault decision for the next mutating storage operation.
@@ -109,29 +88,24 @@ func (i *DiskInjector) Next() DiskDecision {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.ops++
-	if i.crashed || (i.cfg.CrashAfterOps > 0 && i.ops >= uint64(i.cfg.CrashAfterOps)) {
-		first := !i.crashed
-		i.crashed = true
+	i.seen++
+	if i.crashed || (i.cfg.CrashAfterOps > 0 && i.seen >= uint64(i.cfg.CrashAfterOps)) {
 		d := DiskDecision{Class: CrashMidCommit}
-		if first {
+		if !i.crashed {
+			i.crashed = true
 			i.injected++
 			d.Frac = i.rng.Float64()
 		}
 		return d
 	}
-	if i.cfg.MaxInjections > 0 && i.injected >= uint64(i.cfg.MaxInjections) {
-		return DiskDecision{}
-	}
-	u := i.rng.Float64()
-	switch {
-	case u < i.cfg.PTear:
+	switch i.draw(&i.rng, i.cfg.PTear, i.cfg.PRot, i.cfg.PStall) {
+	case 0:
 		i.injected++
 		return DiskDecision{Class: DiskTear, Frac: i.rng.Float64()}
-	case u < i.cfg.PTear+i.cfg.PRot:
+	case 1:
 		i.injected++
 		return DiskDecision{Class: DiskRot, Bit: i.rng.Uint64()}
-	case u < i.cfg.PTear+i.cfg.PRot+i.cfg.PStall:
+	case 2:
 		i.injected++
 		return DiskDecision{Class: DiskStall, Stall: i.cfg.Stall}
 	}
@@ -154,7 +128,5 @@ func (i *DiskInjector) Counts() (ops, injected uint64) {
 	if i == nil {
 		return 0, 0
 	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.ops, i.injected
+	return i.counts()
 }

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -28,19 +27,6 @@ const (
 	// must release every pooled buffer it held.
 	DeadlineStorm
 )
-
-// overloadClassString covers the overload classes for Class.String.
-func overloadClassString(c Class) (string, bool) {
-	switch c {
-	case MemPressure:
-		return "mem-pressure", true
-	case SlowConsumer:
-		return "slow-consumer", true
-	case DeadlineStorm:
-		return "deadline-storm", true
-	}
-	return "", false
-}
 
 // OverloadFault is one scheduled overload episode: shard Shard enters
 // the condition after the harness has completed AfterOps operations and
@@ -116,42 +102,13 @@ func NewOverloadSchedule(cfg OverloadFaultConfig, n int) []OverloadFault {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = time.Microsecond
 	}
-	maxF := cfg.MaxFailures
-	if maxF <= 0 {
-		maxF = n - 1
-	}
-	if maxF > n {
-		maxF = n
-	}
-	rng := NewRand(cfg.Seed)
 	var out []OverloadFault
-	for s := 0; s < n && len(out) < maxF; s++ {
-		u := rng.Float64()
-		var class Class
-		switch {
-		case u < cfg.PMemPressure:
-			class = MemPressure
-		case u < cfg.PMemPressure+cfg.PSlowConsumer:
-			class = SlowConsumer
-		case u < cfg.PMemPressure+cfg.PSlowConsumer+cfg.PDeadlineStorm:
-			class = DeadlineStorm
-		default:
-			continue
-		}
-		at := cfg.MinOps
-		if cfg.MaxOps > cfg.MinOps {
-			at += int(rng.Uint64() % uint64(cfg.MaxOps-cfg.MinOps+1))
-		}
+	for _, h := range byFiring(drawUnits(cfg.Seed, 0, n, capFailures(cfg.MaxFailures, n-1, n), cfg.MinOps, cfg.MaxOps,
+		cfg.PMemPressure, cfg.PSlowConsumer, cfg.PDeadlineStorm)) {
 		out = append(out, OverloadFault{
-			Shard: s, Class: class, AfterOps: at, Ops: cfg.Ops,
+			Shard: h.unit, Class: MemPressure + Class(h.band), AfterOps: h.at, Ops: cfg.Ops,
 			Budget: cfg.Budget, Stall: cfg.Stall, Deadline: cfg.Deadline,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AfterOps != out[j].AfterOps {
-			return out[i].AfterOps < out[j].AfterOps
-		}
-		return out[i].Shard < out[j].Shard
-	})
 	return out
 }

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -26,19 +25,6 @@ const (
 	// fence it out, and every operation it attempts fails.
 	RankRestart
 )
-
-// rankClassString covers the rank classes for Class.String.
-func rankClassString(c Class) (string, bool) {
-	switch c {
-	case RankCrash:
-		return "rank-crash", true
-	case RankHang:
-		return "rank-hang", true
-	case RankRestart:
-		return "rank-restart", true
-	}
-	return "", false
-}
 
 // RankFault is one scheduled process-level failure: rank Rank fails with
 // Class after it has completed AfterOps application operations. Pause is
@@ -91,34 +77,10 @@ func NewRankSchedule(cfg RankFaultConfig, n int) []RankFault {
 	if cfg.Pause <= 0 {
 		cfg.Pause = 50 * time.Millisecond
 	}
-	maxF := cfg.MaxFailures
-	if maxF <= 0 {
-		maxF = n - 2
-	}
-	if maxF > n-1 {
-		maxF = n - 1
-	}
-	rng := NewRand(cfg.Seed)
 	var out []RankFault
-	for r := 1; r < n && len(out) < maxF; r++ {
-		u := rng.Float64()
-		var class Class
-		switch {
-		case u < cfg.PCrash:
-			class = RankCrash
-		case u < cfg.PCrash+cfg.PHang:
-			class = RankHang
-		case u < cfg.PCrash+cfg.PHang+cfg.PRestart:
-			class = RankRestart
-		default:
-			continue
-		}
-		at := cfg.MinOps
-		if cfg.MaxOps > cfg.MinOps {
-			at += int(rng.Uint64() % uint64(cfg.MaxOps-cfg.MinOps+1))
-		}
-		out = append(out, RankFault{Rank: r, Class: class, AfterOps: at, Pause: cfg.Pause})
+	for _, h := range drawUnits(cfg.Seed, 1, n, capFailures(cfg.MaxFailures, n-2, n-1), cfg.MinOps, cfg.MaxOps,
+		cfg.PCrash, cfg.PHang, cfg.PRestart) {
+		out = append(out, RankFault{Rank: h.unit, Class: RankCrash + Class(h.band), AfterOps: h.at, Pause: cfg.Pause})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
 }

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -25,19 +24,6 @@ const (
 	// must eject it while dark and readmit it via half-open probes.
 	ShardRestart
 )
-
-// shardClassString covers the shard classes for Class.String.
-func shardClassString(c Class) (string, bool) {
-	switch c {
-	case ShardCrash:
-		return "shard-crash", true
-	case ShardStall:
-		return "shard-stall", true
-	case ShardRestart:
-		return "shard-restart", true
-	}
-	return "", false
-}
 
 // ShardFault is one scheduled fleet-level failure: shard Shard fails
 // with Class after the fleet has completed AfterOps operations. Stall
@@ -96,42 +82,13 @@ func NewShardSchedule(cfg ShardFaultConfig, n int) []ShardFault {
 	if cfg.Down <= 0 {
 		cfg.Down = 200 * time.Millisecond
 	}
-	maxF := cfg.MaxFailures
-	if maxF <= 0 {
-		maxF = n - 2
-	}
-	if maxF > n-1 {
-		maxF = n - 1
-	}
-	rng := NewRand(cfg.Seed)
 	var out []ShardFault
-	for s := 0; s < n && len(out) < maxF; s++ {
-		u := rng.Float64()
-		var class Class
-		switch {
-		case u < cfg.PCrash:
-			class = ShardCrash
-		case u < cfg.PCrash+cfg.PStall:
-			class = ShardStall
-		case u < cfg.PCrash+cfg.PStall+cfg.PRestart:
-			class = ShardRestart
-		default:
-			continue
-		}
-		at := cfg.MinOps
-		if cfg.MaxOps > cfg.MinOps {
-			at += int(rng.Uint64() % uint64(cfg.MaxOps-cfg.MinOps+1))
-		}
+	for _, h := range byFiring(drawUnits(cfg.Seed, 0, n, capFailures(cfg.MaxFailures, n-2, n-1), cfg.MinOps, cfg.MaxOps,
+		cfg.PCrash, cfg.PStall, cfg.PRestart)) {
 		out = append(out, ShardFault{
-			Shard: s, Class: class, AfterOps: at,
+			Shard: h.unit, Class: ShardCrash + Class(h.band), AfterOps: h.at,
 			Stall: cfg.Stall, Down: cfg.Down,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AfterOps != out[j].AfterOps {
-			return out[i].AfterOps < out[j].AfterOps
-		}
-		return out[i].Shard < out[j].Shard
-	})
 	return out
 }

@@ -7,24 +7,26 @@
 // C-Engine SRAM or a stale mempool buffer breaks exactly that
 // assumption: the bytes are wrong and every downstream hop — transport
 // frame, fleet response, checkpoint shard — faithfully preserves the
-// wrong bytes. This package holds the three primitives the defence is
+// wrong bytes. This package holds the primitives the defence is
 // built from:
 //
-//   - VerifyMode: the verified-compression policy (Off / Sampled /
-//     Full) that decode-verifies compressed output against a source
-//     digest before it is released to the caller.
+//   - VerifyMode and Sampler: the verified-compression policy (Off /
+//     Sampled / Full) that decode-verifies compressed output against a
+//     source digest before it is released to the caller, and the one
+//     per-library sampler that elects the operations and chunks it
+//     verifies.
 //   - CorruptError: the typed error every hop raises when a carried
 //     checksum no longer matches the bytes, identifying the segment
 //     and the hop that caught it.
-//   - Ledger: the per-unit mismatch ledger behind quarantine — after K
-//     verified mismatches a compute unit is pulled from service and
-//     half-open re-probed until it proves itself clean again.
+//
+// The verdicts feed the C-Engine's quarantine (dpu.CEngine): three
+// verified mismatches bench the engine, and one half-open probe at a
+// time re-earns its admission.
 package integrity
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -135,152 +137,3 @@ func (e *CorruptError) Error() string {
 
 // Is makes errors.Is(err, ErrCorrupt) true for every CorruptError.
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
-
-// LedgerConfig tunes the quarantine ladder. The zero value uses the
-// defaults.
-type LedgerConfig struct {
-	// Quarantine after this many consecutive verified mismatches
-	// (default 3). A single cosmic-ray flip should not bench a core;
-	// a pattern should.
-	Threshold int
-	// While quarantined, let one probe operation through every
-	// ProbeEvery Allow calls (default 8) — the half-open re-probe.
-	ProbeEvery int
-}
-
-func (c LedgerConfig) threshold() int {
-	if c.Threshold <= 0 {
-		return 3
-	}
-	return c.Threshold
-}
-
-func (c LedgerConfig) probeEvery() int {
-	if c.ProbeEvery <= 0 {
-		return 8
-	}
-	return c.ProbeEvery
-}
-
-// Ledger tracks verified mismatches per compute unit and drives the
-// quarantine state machine:
-//
-//	clean --K consecutive mismatches--> quarantined
-//	quarantined --every Nth Allow--> probe granted
-//	probe verified clean --> readmitted
-//	probe mismatch --> stays quarantined, probe window restarts
-//
-// Units are small integer IDs (engine complex 0, SoC worker cores
-// 1..N). A nil Ledger allows everything and records nothing.
-type Ledger struct {
-	mu    sync.Mutex
-	cfg   LedgerConfig
-	units map[int]*unitState
-
-	mismatches  uint64
-	quarantines uint64
-	readmits    uint64
-}
-
-type unitState struct {
-	streak      int
-	quarantined bool
-	sinceProbe  int
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger(cfg LedgerConfig) *Ledger {
-	return &Ledger{cfg: cfg, units: make(map[int]*unitState)}
-}
-
-func (l *Ledger) unit(id int) *unitState {
-	u := l.units[id]
-	if u == nil {
-		u = &unitState{}
-		l.units[id] = u
-	}
-	return u
-}
-
-// Mismatch records one verified mismatch against unit id and reports
-// whether this mismatch transitioned the unit into quarantine.
-func (l *Ledger) Mismatch(id int) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mismatches++
-	u := l.unit(id)
-	u.streak++
-	if !u.quarantined && u.streak >= l.cfg.threshold() {
-		u.quarantined = true
-		u.sinceProbe = 0
-		l.quarantines++
-		return true
-	}
-	return false
-}
-
-// Verified records one verification success for unit id: the mismatch
-// streak resets, and a quarantined unit that just proved itself clean
-// on a probe is readmitted. Reports whether a readmission happened.
-func (l *Ledger) Verified(id int) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	u := l.unit(id)
-	u.streak = 0
-	if u.quarantined {
-		u.quarantined = false
-		l.readmits++
-		return true
-	}
-	return false
-}
-
-// Allow reports whether unit id may execute. Clean units always may; a
-// quarantined unit gets one probe every ProbeEvery calls (the half-open
-// gate). Callers MUST report the probe's outcome via Verified or
-// Mismatch, or the unit stays benched forever.
-func (l *Ledger) Allow(id int) bool {
-	if l == nil {
-		return true
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	u := l.unit(id)
-	if !u.quarantined {
-		return true
-	}
-	u.sinceProbe++
-	if u.sinceProbe >= l.cfg.probeEvery() {
-		u.sinceProbe = 0
-		return true
-	}
-	return false
-}
-
-// Quarantined reports unit id's quarantine state without the probe
-// side effects of Allow.
-func (l *Ledger) Quarantined(id int) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	u := l.units[id]
-	return u != nil && u.quarantined
-}
-
-// Counts returns the lifetime mismatch / quarantine / readmit totals.
-func (l *Ledger) Counts() (mismatches, quarantines, readmits uint64) {
-	if l == nil {
-		return 0, 0, 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mismatches, l.quarantines, l.readmits
-}

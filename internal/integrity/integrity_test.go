@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"pedal/internal/dpu"
+	"pedal/internal/hwmodel"
 )
 
 func TestSamplerModes(t *testing.T) {
@@ -93,80 +96,72 @@ func TestCorruptErrorTyping(t *testing.T) {
 	}
 }
 
+// The quarantine ladder the verdicts drive lives on the C-Engine: three
+// verified mismatches quarantine it, decompress waits the quarantine out,
+// every eighth compress admission is the one half-open probe in flight,
+// and a probe that verifies clean readmits the engine.
 func TestLedgerQuarantineLadder(t *testing.T) {
-	l := NewLedger(LedgerConfig{Threshold: 3, ProbeEvery: 4})
+	dev, err := dpu.NewDevice(hwmodel.BlueField2, dpu.SeparatedHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	eng := dev.CEngine()
 
 	// Below threshold: stays in service, streak resets on success.
-	l.Mismatch(0)
-	l.Mismatch(0)
-	l.Verified(0)
-	l.Mismatch(0)
-	l.Mismatch(0)
-	if l.Quarantined(0) {
+	eng.ReportCorrupt()
+	eng.ReportCorrupt()
+	eng.ReportVerified()
+	eng.ReportCorrupt()
+	eng.ReportCorrupt()
+	if eng.Quarantined() {
 		t.Fatal("quarantined below threshold after a reset")
 	}
-	if !l.Mismatch(0) {
-		t.Fatal("third consecutive mismatch must transition to quarantine")
-	}
-	if !l.Quarantined(0) {
-		t.Fatal("not quarantined after threshold")
+	if !eng.ReportCorrupt() || !eng.Quarantined() {
+		t.Fatal("third consecutive mismatch must quarantine the engine")
 	}
 
-	// Quarantined: only every 4th Allow is a probe.
-	probes := 0
-	for i := 0; i < 12; i++ {
-		if l.Allow(0) {
-			probes++
+	// Quarantined: decompress is held off, only every 8th compress
+	// admission probes, and a probe in flight admits nothing more.
+	probeWindow := func() {
+		t.Helper()
+		for i := 1; i <= 8; i++ {
+			if eng.Admit(hwmodel.Decompress) {
+				t.Fatal("decompress admitted while quarantined")
+			}
+			if got := eng.Admit(hwmodel.Compress); got != (i == 8) {
+				t.Fatalf("compress admission %d of the window: %v", i, got)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			if eng.Admit(hwmodel.Compress) {
+				t.Fatal("second probe admitted while one is in flight")
+			}
 		}
 	}
-	if probes != 3 {
-		t.Fatalf("probe gate let %d of 12 calls through, want 3", probes)
-	}
+	probeWindow()
 
-	// Probe fails: stays quarantined (no double-quarantine transition).
-	if l.Mismatch(0) {
+	// Probe fails: stays quarantined (no double-quarantine transition)
+	// and the probe window restarts.
+	if eng.ReportCorrupt() {
 		t.Error("mismatch while quarantined must not re-transition")
 	}
-	if !l.Quarantined(0) {
-		t.Fatal("unit left quarantine on a failed probe")
+	if !eng.Quarantined() {
+		t.Fatal("engine left quarantine on a failed probe")
 	}
+	probeWindow()
 
-	// Probe succeeds: readmitted and immediately allowed.
-	if !l.Verified(0) {
+	// Probe verifies clean: readmitted, and decompress runs again.
+	if !eng.ReportVerified() {
 		t.Fatal("verified probe must readmit")
 	}
-	if l.Quarantined(0) || !l.Allow(0) {
-		t.Fatal("readmitted unit must be allowed")
+	if eng.Quarantined() || !eng.Admit(hwmodel.Decompress) || !eng.Admit(hwmodel.Compress) {
+		t.Fatal("readmitted engine must admit both directions")
 	}
 
-	mm, q, r := l.Counts()
-	if mm != 6 || q != 1 || r != 1 {
-		t.Errorf("counts = (%d, %d, %d), want (6, 1, 1)", mm, q, r)
-	}
-}
-
-func TestLedgerPerUnitIsolation(t *testing.T) {
-	l := NewLedger(LedgerConfig{Threshold: 2})
-	l.Mismatch(1)
-	l.Mismatch(1)
-	if !l.Quarantined(1) {
-		t.Fatal("unit 1 should be quarantined")
-	}
-	if l.Quarantined(0) || !l.Allow(0) {
-		t.Error("unit 0 must be unaffected by unit 1's quarantine")
-	}
-}
-
-func TestLedgerNilSafety(t *testing.T) {
-	var l *Ledger
-	if l.Mismatch(0) || l.Verified(0) || l.Quarantined(0) {
-		t.Error("nil ledger must record nothing")
-	}
-	if !l.Allow(0) {
-		t.Error("nil ledger must allow everything")
-	}
-	if a, b, c := l.Counts(); a+b+c != 0 {
-		t.Error("nil ledger counts must be zero")
+	h := eng.Health()
+	if h.CorruptMismatches != 6 || h.Quarantines != 1 || h.Readmits != 1 {
+		t.Errorf("counts = (%d, %d, %d), want (6, 1, 1)", h.CorruptMismatches, h.Quarantines, h.Readmits)
 	}
 }
 

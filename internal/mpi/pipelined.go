@@ -51,7 +51,7 @@ func (c *Comm) sendPipelined(dst, tag int, dt core.DataType, cc *CompressionConf
 	// the RTS signal), so the sender pays one up-front pass through the
 	// slicing-by-8 kernel.
 	var srcCRC uint32
-	if spec.Verify == integrity.VerifyFull {
+	if spec.Sampler.Mode() == integrity.VerifyFull {
 		srcCRC = checksum.CRC32(data)
 	}
 	desc := pipeline.AppendDescriptor(nil, spec.Algo, count, spec.ChunkSize, len(data), srcCRC)

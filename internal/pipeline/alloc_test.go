@@ -38,10 +38,9 @@ func TestProduceSoftVerifiedZeroAllocs(t *testing.T) {
 		{"full", integrity.VerifyFull},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := Spec{Algo: AlgoDeflate, Verify: tc.mode}
-			sampler := integrity.NewSampler(tc.mode, 0)
+			spec := Spec{Algo: AlgoDeflate, Sampler: integrity.NewSampler(tc.mode, 0)}
 			produce := func() {
-				r := p.produceSoft(1, spec, sampler, data)
+				r := p.produceSoft(1, spec, data)
 				if r.err != nil {
 					t.Fatal(r.err)
 				}

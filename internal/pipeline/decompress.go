@@ -41,10 +41,20 @@ type DecompressSession struct {
 	wantCRC  uint32
 	rejected int
 
+	// jobs holds each engine chunk's job outcome, reported to the engine
+	// in index order once the session's decodes are done.
+	jobs []jobOutcome
+
 	mu       sync.Mutex
 	firstErr error
 	replays  int
 	aborted  bool
+	resolved bool
+}
+
+type jobOutcome struct {
+	ran bool
+	err error
 }
 
 // ErrAborted reports a decompression session cancelled by Abort before
@@ -90,6 +100,7 @@ func (p *Pipeline) NewDecompress(spec Spec, count, chunkSize, origLen int, srcCR
 		chunkSize: chunkSize,
 		count:     count,
 		seen:      make([]bool, count),
+		jobs:      make([]jobOutcome, count),
 		pl:        p.newPlanner(spec, hwmodel.Decompress),
 		wantCRC:   srcCRC,
 	}, nil
@@ -139,7 +150,7 @@ func (s *DecompressSession) Submit(index, origLen int, crc uint32, comp []byte, 
 	slot := s.out[off : off : off+origLen]
 
 	if engine {
-		h, err := s.p.dev.CEngine().TrySubmit(dpu.Job{
+		h, err := s.pl.eng.TrySubmit(dpu.Job{
 			Algo: s.pl.engAlgo, Op: hwmodel.Decompress, Input: comp, MaxOutput: origLen,
 		})
 		if err == nil {
@@ -147,7 +158,12 @@ func (s *DecompressSession) Submit(index, origLen int, crc uint32, comp []byte, 
 			go func() {
 				defer s.wg.Done()
 				res := h.Wait()
-				if res.Err == nil && res.VerifyOutput() && len(res.Output) == origLen {
+				jobErr := res.Err
+				if jobErr == nil && !res.VerifyOutput() {
+					jobErr = dpu.ErrCorrupt
+				}
+				s.jobs[index] = jobOutcome{ran: true, err: jobErr}
+				if jobErr == nil && len(res.Output) == origLen {
 					copy(slot[:origLen], res.Output)
 					return
 				}
@@ -258,6 +274,7 @@ func into(dst, out []byte) []byte {
 // stream leaks neither goroutines nor buffers.
 func (s *DecompressSession) Abort() {
 	s.wg.Wait()
+	s.resolve()
 	s.mu.Lock()
 	s.aborted = true
 	if s.firstErr == nil {
@@ -277,10 +294,11 @@ func (s *DecompressSession) Wait() ([]byte, Summary, error) {
 	if aborted {
 		return nil, Summary{}, ErrAborted
 	}
+	s.wg.Wait()
+	s.resolve()
 	if s.submitted != s.count {
 		return nil, Summary{}, fmt.Errorf("%w: %d of %d submitted", ErrIncomplete, s.submitted, s.count)
 	}
-	s.wg.Wait()
 	sum := Summary{Chunks: s.count, ChunkSize: s.chunkSize}
 	if s.pl != nil {
 		sum.Makespan = s.pl.makespan
@@ -302,6 +320,25 @@ func (s *DecompressSession) Wait() ([]byte, Summary, error) {
 		}
 	}
 	return s.out, sum, nil
+}
+
+// resolve settles the session's engine admission once its decodes are
+// done: every engine chunk's outcome is reported in index order, and an
+// admission no chunk ran on is released. Later calls do nothing.
+func (s *DecompressSession) resolve() {
+	s.mu.Lock()
+	settled := s.resolved
+	s.resolved = true
+	s.mu.Unlock()
+	if settled || s.pl == nil {
+		return
+	}
+	for _, j := range s.jobs {
+		if j.ran {
+			s.pl.report(j.err)
+		}
+	}
+	s.pl.done()
 }
 
 // Rejected reports how many chunk submissions this session refused for

@@ -93,11 +93,13 @@ type Spec struct {
 	// ChunkSize overrides the adaptive chunk size (rounded up to a
 	// multiple of chunkAlign). Zero selects automatically.
 	ChunkSize int
-	// Verify enables per-chunk verified compression: decode-verify for
-	// the lossless codecs, the scalar-reference differential referee for
-	// SZ3. A mismatching chunk is re-executed on the trusted scalar path
-	// before delivery. Off trusts kernel output.
-	Verify integrity.VerifyMode
+	// Sampler elects the chunks that get verified compression:
+	// decode-verify for the lossless codecs, the scalar-reference
+	// differential referee for SZ3. A mismatching chunk is re-executed on
+	// the trusted scalar path before delivery. It is the library's own
+	// sampler, so sampling runs across operations and serial and chunked
+	// paths alike; nil trusts kernel output.
+	Sampler *integrity.Sampler
 	// SDC, when set, injects silent data corruption into SoC-produced
 	// chunks (the C-Engine carries its own injector); each worker draws
 	// from its own per-core seeded stream. Tests and soaks only.
@@ -280,6 +282,9 @@ func (p *Pipeline) ChunkSizeFor(n int, spec Spec) int {
 // planner is the greedy earliest-finish scheduler over the virtual
 // resources: per-core SoC queues plus the batched serial C-Engine.
 type planner struct {
+	eng       *dpu.CEngine
+	admitted  bool
+	reported  bool
 	gen       hwmodel.Generation
 	spec      Spec
 	op        hwmodel.Op
@@ -295,7 +300,7 @@ type planner struct {
 }
 
 func (p *Pipeline) newPlanner(spec Spec, op hwmodel.Op) *planner {
-	pl := &planner{gen: p.gen, spec: spec, op: op, cores: make([]time.Duration, p.effWorkers())}
+	pl := &planner{eng: p.dev.CEngine(), gen: p.gen, spec: spec, op: op, cores: make([]time.Duration, p.effWorkers())}
 	if spec.Engine {
 		var a hwmodel.Algo
 		switch {
@@ -304,10 +309,7 @@ func (p *Pipeline) newPlanner(spec Spec, op hwmodel.Op) *planner {
 		case spec.Algo == AlgoLZ4 && op == hwmodel.Decompress:
 			a = hwmodel.LZ4
 		}
-		// A quarantined engine is held off the schedule except for the
-		// ledger's half-open probe admissions, which re-earn trust chunk
-		// by chunk.
-		if a != 0 && p.dev.SupportsCEngine(a, op) && p.dev.CEngine().IntegrityAllow() {
+		if a != 0 && p.dev.SupportsCEngine(a, op) {
 			if f, ok := hwmodel.OpCost(p.gen, hwmodel.CEngine, a, op, 0); ok {
 				pl.engAlgo, pl.engOK, pl.engFixed = a, true, f
 			}
@@ -372,7 +374,7 @@ func (pl *planner) place(arrival time.Duration, n int) (time.Duration, bool) {
 		if !pl.engUsed || start > pl.engFree {
 			cost += pl.engFixed
 		}
-		if engDone := start + cost; engDone <= socDone {
+		if engDone := start + cost; engDone <= socDone && pl.admit() {
 			pl.engUsed = true
 			pl.engChunks++
 			pl.engFree = engDone
@@ -391,6 +393,35 @@ func (pl *planner) place(arrival time.Duration, n int) (time.Duration, bool) {
 	return socDone, false
 }
 
+// admit takes the operation's one C-Engine admission (dpu.CEngine.Admit),
+// lazily, at the first chunk the schedule would place on the engine; a
+// refusal plans the rest of the operation on the SoC. The operation
+// resolves a granted admission once its engine chunks are done.
+func (pl *planner) admit() bool {
+	if !pl.admitted {
+		pl.admitted = pl.eng.Admit(pl.op)
+		pl.engOK = pl.admitted
+	}
+	return pl.admitted
+}
+
+// report resolves the operation's admission with one engine job's
+// outcome; callers report in a fixed order (delivery order for compress,
+// index order for decompress) so seeded runs replay the same breaker
+// transitions.
+func (pl *planner) report(err error) {
+	pl.reported = true
+	pl.eng.Report(err)
+}
+
+// done releases an admission no engine job ran to an outcome for: every
+// engine chunk spilled at submit or was abandoned at the deadline.
+func (pl *planner) done() {
+	if pl.admitted && !pl.reported {
+		pl.eng.Release()
+	}
+}
+
 type compResult struct {
 	out []byte
 	// buf is what the chunk's producer drew from the pool — nothing for
@@ -407,9 +438,13 @@ type compResult struct {
 	// mismatch marks a chunk whose verification caught silent corruption
 	// (a delivered one was replaced by its scalar re-execution);
 	// quarantined marks a mismatch that tipped the engine's integrity
-	// ledger over its threshold.
+	// quarantine over its threshold.
 	mismatch    bool
 	quarantined bool
+	// ran marks a chunk whose engine job reached an outcome, jobErr, for
+	// the delivery loop to report to the engine.
+	ran    bool
+	jobErr error
 }
 
 // Compress splits src into chunks, compresses them across the SoC
@@ -429,7 +464,8 @@ func deadlineErr(ctx context.Context) error {
 
 // CompressContext is Compress bounded by a caller deadline. The
 // dispatch loop checkpoints ctx per chunk — chunks past the expiry are
-// failed with a typed dpu.ErrDeadline instead of compressed — and the
+// failed with a typed dpu.ErrDeadline instead of compressed — engine
+// chunks carry the deadline and are abandoned when it fires, and the
 // delivery loop stops sinking once the deadline passes, draining every
 // dispatched chunk so all pooled buffers return. A background context
 // takes exactly the classic Compress path.
@@ -441,7 +477,7 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	if n == 0 {
 		return Summary{}, nil
 	}
-	ctxExpires := ctx != nil && ctx.Done() != nil
+	ctxExpires := ctx.Done() != nil
 	if ctxExpires && ctx.Err() != nil {
 		return Summary{}, deadlineErr(ctx)
 	}
@@ -477,7 +513,6 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	for i := range results {
 		results[i] = make(chan compResult, 1)
 	}
-	sampler := integrity.NewSampler(spec.Verify, integrity.DefaultSampleN)
 	// Under VerifyFull each producer also digests its chunk's *source*
 	// bytes on its own core — the per-chunk CRCs are stitched into the
 	// end-to-end stream digest after the sink loop, so the descriptor
@@ -486,7 +521,8 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	// hop CRCs and the sampled decode-verify, but does not carry the
 	// full-coverage stream digest (a 100% source pass would defeat the
 	// point of sampling).
-	digest := spec.Verify == integrity.VerifyFull
+	digest := spec.Sampler.Mode() == integrity.VerifyFull
+	deadline, _ := ctx.Deadline()
 	// Brownout concurrency cap: a real semaphore bounds in-flight chunks
 	// (and with them the pooled buffers an operation can hold at once),
 	// acquired at dispatch and released once the chunk's result is
@@ -519,18 +555,29 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 		}
 		acquire()
 		if s.engine {
-			h, err := p.dev.CEngine().TrySubmit(dpu.Job{Algo: pl.engAlgo, Op: hwmodel.Compress, Input: data})
+			h, err := pl.eng.TrySubmit(dpu.Job{Algo: pl.engAlgo, Op: hwmodel.Compress, Input: data, Deadline: deadline})
 			if err == nil {
 				go func() {
-					res := h.Wait()
-					var r compResult
-					if res.Err == nil && res.VerifyOutput() {
-						r = p.checkEngineChunk(spec, sampler, data, res.Output, res.Checksum)
-					} else {
-						r = p.produceSoft(0, spec, sampler, data)
-						r.fellBack = true
-						r.replayed = errors.Is(res.Err, dpu.ErrEngineLost)
+					res, ok := h.WaitContextTimeout(ctx, 0)
+					if !ok {
+						// Abandoned at the caller's deadline: no SoC work,
+						// and no outcome for the engine's health ladder.
+						post(i, compResult{err: deadlineErr(ctx)})
+						return
 					}
+					jobErr := res.Err
+					if jobErr == nil && !res.VerifyOutput() {
+						jobErr = dpu.ErrCorrupt
+					}
+					var r compResult
+					if jobErr == nil {
+						r = p.checkEngineChunk(spec, data, res.Output, res.Checksum)
+					} else {
+						r = p.produceSoft(0, spec, data)
+						r.fellBack = true
+						r.replayed = errors.Is(jobErr, dpu.ErrEngineLost)
+					}
+					r.ran, r.jobErr = true, jobErr
 					if digest {
 						r.srcCRC = checksum.CRC32(data)
 					}
@@ -542,7 +589,7 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 			slots[i].engine = false
 		}
 		p.jobs <- func(core int) {
-			r := p.produceSoft(core, spec, sampler, data)
+			r := p.produceSoft(core, spec, data)
 			if digest {
 				r.srcCRC = checksum.CRC32(data)
 			}
@@ -558,6 +605,9 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 	var opErr error
 	for _, idx := range order {
 		r := <-results[idx]
+		if r.ran {
+			pl.report(r.jobErr)
+		}
 		if digest {
 			srcs[idx] = r.srcCRC
 		}
@@ -606,6 +656,7 @@ func (p *Pipeline) CompressContext(ctx context.Context, src []byte, spec Spec, s
 			opErr = err
 		}
 	}
+	pl.done()
 	if digest && opErr == nil {
 		// Stitch the per-chunk source digests in index order: each
 		// combine advances the running CRC past the next chunk's length,
@@ -741,13 +792,13 @@ func sz3ScalarCore(spec Spec, data []byte) ([]byte, error) {
 // bytes, which is exactly what makes the corruption silent to every
 // downstream hop and leaves verification as the only detector. The
 // delivery loop Puts r.buf, on success and failure alike.
-func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, data []byte) compResult {
+func (p *Pipeline) produceSoft(core int, spec Spec, data []byte) compResult {
 	r := compResult{buf: p.pool.GetCap(spec.Bound(len(data)))}
 	if r.out, r.err = Encode(spec, r.buf, data); r.err != nil {
 		return r
 	}
 	spec.SDC.Corrupt(core, r.out)
-	if sampler.Hit() {
+	if spec.Sampler.Hit() {
 		r.out, r.mismatch, _, r.err = p.Heal(spec, r.buf, data, r.out, false, "pipeline.chunk")
 	}
 	r.crc = checksum.CRC32(r.out)
@@ -761,9 +812,9 @@ func (p *Pipeline) produceSoft(core int, spec Spec, sampler *integrity.Sampler, 
 // verified while the engine is quarantined: those are the half-open
 // probes that earn readmission. The chunk draws nothing: out is the
 // engine's own allocation, and the rare healed replacement is the heap's.
-func (p *Pipeline) checkEngineChunk(spec Spec, sampler *integrity.Sampler, data, out []byte, crc uint32) compResult {
+func (p *Pipeline) checkEngineChunk(spec Spec, data, out []byte, crc uint32) compResult {
 	r := compResult{out: out, crc: crc}
-	if !sampler.Hit() && !p.dev.CEngine().Quarantined() {
+	if !spec.Sampler.Hit() && !p.dev.CEngine().Quarantined() {
 		return r
 	}
 	r.out, r.mismatch, r.quarantined, r.err = p.Heal(spec, nil, data, out, true, "pipeline.chunk")
@@ -777,9 +828,9 @@ func (p *Pipeline) checkEngineChunk(spec Spec, sampler *integrity.Sampler, data,
 // against data; on a mismatch re-execute on the trusted scalar path and
 // verify the replacement; a second failure is unrecoverable and surfaces
 // as a typed integrity.CorruptError naming hop. engine says the C-Engine
-// produced out, so the verdict feeds its integrity ledger — a clean result
-// is readmission evidence for a quarantined engine, a mismatch a strike
-// that may quarantine it. A payload that verifies is returned as it came.
+// produced out, so the verdict feeds its quarantine — a clean result is
+// readmission evidence for a quarantined engine, a mismatch a strike that
+// may quarantine it. A payload that verifies is returned as it came.
 // A replacement is appended to dst, the caller's buffer, which may be the
 // one holding out: the corrupt bytes are dead by then, so healing swaps no
 // buffers and the caller still Puts exactly what it drew.

@@ -116,13 +116,13 @@ func TestStreamDigestStitching(t *testing.T) {
 	for _, n := range []int{3<<20 + 12345, 256 << 10, 100} {
 		data := textData(n)
 		want := checksum.CRC32(data)
-		spec := pipeline.Spec{Algo: pipeline.AlgoDeflate, Verify: integrity.VerifyFull}
+		spec := pipeline.Spec{Algo: pipeline.AlgoDeflate, Sampler: integrity.NewSampler(integrity.VerifyFull, 0)}
 		_, sum := collect(t, p, data, spec)
 		if sum.SrcCRC != want {
 			t.Errorf("n=%d: stitched SrcCRC %#x, want %#x", n, sum.SrcCRC, want)
 		}
 		for _, mode := range []integrity.VerifyMode{integrity.VerifyOff, integrity.VerifySampled} {
-			spec.Verify = mode
+			spec.Sampler = integrity.NewSampler(mode, 0)
 			if _, sum := collect(t, p, data, spec); sum.SrcCRC != 0 {
 				t.Errorf("n=%d verify=%v: SrcCRC %#x, want 0 sentinel", n, mode, sum.SrcCRC)
 			}
