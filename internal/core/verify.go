@@ -9,8 +9,8 @@ package core
 // the loop: decode the output (lossless) or recompress through the
 // scalar reference path (lossy) and compare against the source before
 // the bytes leave the library. A mismatch re-executes the operation on
-// the trusted scalar path and feeds the integrity ledger that
-// quarantines a repeatedly-corrupting engine.
+// the trusted scalar path and feeds the engine's quarantine, which
+// benches a repeatedly-corrupting engine.
 
 import (
 	"pedal/internal/hwmodel"

@@ -125,7 +125,7 @@ type sdcScenario struct {
 	// "mixed" (round-robin over all three).
 	kind string
 	cfg  faults.ComputeFaultConfig
-	// wantQuarantine scenarios assert the engine ledger went through a
+	// wantQuarantine scenarios assert the engine quarantine went through a
 	// full quarantine + readmission cycle.
 	wantQuarantine bool
 }
