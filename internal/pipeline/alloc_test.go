@@ -7,6 +7,7 @@ import (
 	"pedal/internal/dpu"
 	"pedal/internal/hwmodel"
 	"pedal/internal/integrity"
+	"pedal/internal/testutil"
 )
 
 // TestProduceSoftVerifiedZeroAllocs pins the allocation contract of the
@@ -17,7 +18,7 @@ import (
 // zero, so turning verification on cannot reintroduce per-chunk GC
 // pressure.
 func TestProduceSoftVerifiedZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race-detector shadow memory allocates on the hot path")
 	}
 	dev, err := dpu.NewDevice(hwmodel.BlueField3, dpu.SeparatedHost)
