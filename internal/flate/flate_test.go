@@ -251,3 +251,17 @@ func BenchmarkDecompress(b *testing.B) {
 		}
 	}
 }
+
+// TestDistCodeOfTable checks the one-lookup distance coder against the
+// RFC 1951 base table for every distance in the window.
+func TestDistCodeOfTable(t *testing.T) {
+	code := 0
+	for d := 1; d <= 32768; d++ {
+		for code < 29 && d >= distBase[code+1] {
+			code++
+		}
+		if got := distCodeOf(d); got != code {
+			t.Fatalf("distCodeOf(%d) = %d, want %d", d, got, code)
+		}
+	}
+}

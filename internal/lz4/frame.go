@@ -28,6 +28,10 @@ const (
 
 	// uncompressedBit marks a stored block in the block size word.
 	uncompressedBit = 1 << 31
+
+	// maxExpansion bounds output bytes per input byte: a sequence's
+	// length bytes add at most 255 output bytes each.
+	maxExpansion = 255
 )
 
 // Compress produces a complete LZ4 frame: magic, frame descriptor with
@@ -142,7 +146,21 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 	}
 	i++
 
+	// Decode straight into one buffer sized from the declared content
+	// size, trusted only as far as the input could legally expand
+	// (maxExpansion) and limit allow: a forged size cannot make the
+	// decoder reserve more than a truthful frame of this length would.
 	var out []byte
+	if hasContentSize && contentSize > 0 && limit > 0 {
+		size := uint64(limit)
+		if bound := uint64(len(src)) * maxExpansion; bound < size {
+			size = bound
+		}
+		if contentSize < size {
+			size = contentSize
+		}
+		out = make([]byte, 0, size)
+	}
 	for {
 		if i+4 > len(src) {
 			return nil, fmt.Errorf("%w: truncated block size", ErrCorrupt)
@@ -178,11 +196,10 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 			out = append(out, blk...)
 			continue
 		}
-		dec, err := DecompressBlock(blk, limit-len(out))
-		if err != nil {
+		var err error
+		if out, err = appendBlock(out, blk, limit); err != nil {
 			return nil, err
 		}
-		out = append(out, dec...)
 	}
 	if flg&flgContentChecksum != 0 {
 		if i+4 > len(src) {

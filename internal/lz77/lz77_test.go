@@ -2,6 +2,7 @@ package lz77
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -174,4 +175,54 @@ func BenchmarkTokenizeText(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Tokenize(src, LevelParams(6), func(Token) {})
 	}
+}
+
+// TestMatcherOffsetWrap drives the tagged-offset rule to its edge: with
+// base placed so the next call just fits below math.MaxInt32 and every
+// head entry and chain link at the largest stale value, that call, the
+// following one (which must clear the table and restart base) and one
+// after it must all produce the tokens of a fresh Matcher. Inputs
+// alternate so stale entries would point at plausible matches.
+func TestMatcherOffsetWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	a := []byte(strings.Repeat("offset wrap: tagged head entries ", 300))
+	b := make([]byte, 6000)
+	for i := range b {
+		b[i] = a[rng.Intn(len(a))]
+	}
+	for _, level := range []int{1, 6, 9} {
+		p := LevelParams(level)
+		var m Matcher
+		m.Tokens(b, p, nil) // size prev
+		m.base = int32(math.MaxInt32 - len(a))
+		for i := range m.head {
+			m.head[i] = m.base - 1
+		}
+		for i := range m.prev {
+			m.prev[i] = m.base - 1
+		}
+		for k, src := range [][]byte{a, b, a, b} {
+			var fresh Matcher
+			want := fresh.Tokens(src, p, nil)
+			got := m.Tokens(src, p, nil)
+			if !tokensEqual(got, want) {
+				t.Fatalf("level %d call %d (base %d): tokens differ from a fresh Matcher", level, k, m.base)
+			}
+		}
+		if m.base > int32(3*len(a)) {
+			t.Fatalf("level %d: base %d did not restart after passing math.MaxInt32", level, m.base)
+		}
+	}
+}
+
+func tokensEqual(a, b []Token) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
