@@ -242,3 +242,30 @@ func TestPipelinedEngineChunksHonourDeadline(t *testing.T) {
 		}
 	}
 }
+
+// lateTimerCtx is a context whose deadline has passed but whose timer has
+// not fired yet: Err is still nil.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// A deadline checkpoint reads the clock, not only the context's timer: an
+// operation that reaches it after its deadline is abandoned even though
+// the timer has not fired.
+func TestCheckpointAbandonsPastDeadlineBeforeTimer(t *testing.T) {
+	lib, err := Init(Options{Generation: hwmodel.BlueField2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Finalize()
+	ctx := lateTimerCtx{context.Background()}
+	if _, _, err := lib.CompressContext(ctx, Design{Algo: AlgoDeflate, Engine: hwmodel.SoC}, TypeBytes, resilientSrc); !errors.Is(err, dpu.ErrDeadline) {
+		t.Fatalf("err %v, want ErrDeadline", err)
+	}
+	if got := lib.TotalBreakdown().Count(stats.CounterDeadlineAbandoned); got != 1 {
+		t.Fatalf("deadline_abandoned = %d, want 1", got)
+	}
+	if n := lib.PoolOutstanding(); n != 0 {
+		t.Fatalf("%d pooled buffers outstanding after the abandoned op", n)
+	}
+}

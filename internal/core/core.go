@@ -364,12 +364,26 @@ func (o *op) finish() {
 	o.rep.Virtual = o.bd.Total()
 }
 
+// expired returns why the operation's context is done, or nil. A
+// deadline counts from the clock, not from the context's timer: that
+// timer fires a scheduler hop after the deadline, and an operation
+// shorter than the hop must not run past its deadline unnoticed.
+func (o *op) expired() error {
+	if err := o.ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := o.ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // checkDeadline is a deadline checkpoint: when the operation's context
 // has expired it counts the abandonment, traces it, and returns the typed
 // error the caller must propagate after releasing any pooled buffers it
 // holds.
 func (l *Library) checkDeadline(o *op, where string) error {
-	err := o.ctx.Err()
+	err := o.expired()
 	if err == nil {
 		return nil
 	}
@@ -434,7 +448,7 @@ func (l *Library) EngineHealth() dpu.EngineHealth { return l.dev.CEngine().Healt
 // not trip the breaker open while the hardware is healthy.
 func (l *Library) noteEngineResult(o *op, err error) {
 	eng := l.dev.CEngine()
-	if errors.Is(err, dpu.ErrDeadline) && o.ctx.Err() != nil {
+	if errors.Is(err, dpu.ErrDeadline) && o.expired() != nil {
 		eng.Release()
 		return
 	}

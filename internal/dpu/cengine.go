@@ -445,9 +445,15 @@ func (e *CEngine) Breaker() *faults.Breaker { return e.breaker.Load() }
 // compress output is verified, so compress admissions may be quarantine
 // probes, while decompress waits a quarantine out. A granted admission
 // is resolved once: by Report with its job's outcome, or by Release when
-// the caller abandons it.
+// the caller abandons it. A request refused because the engine is not
+// live still counts toward the probe countdown of both ladders, so how
+// many requests a hot reset's wall time spans does not move the probe.
 func (e *CEngine) Admit(op hwmodel.Op) bool {
 	if e.State() != EngineLive {
+		if op == hwmodel.Compress {
+			e.quarantine.Skip()
+		}
+		e.Breaker().Skip()
 		return false
 	}
 	if op == hwmodel.Compress {

@@ -90,6 +90,23 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
+// Skip counts a request that was refused before it reached the breaker
+// (the engine was resetting or degraded) toward the probe countdown, as
+// Allow would have, but grants nothing: a probe that falls due during
+// the refusal goes to the next request Allow sees. The request that
+// probes therefore depends on the request count alone, not on how long
+// the refusal lasted.
+func (b *Breaker) Skip() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == StateOpen && b.sinceOpen < b.cfg.ProbeEvery-1 {
+		b.sinceOpen++
+	}
+}
+
 // Success records a completed engine operation. It reports whether this
 // success closed an open breaker (a recovered engine).
 func (b *Breaker) Success() (recovered bool) {

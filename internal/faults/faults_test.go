@@ -146,6 +146,35 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// TestBreakerSkipCountsTowardProbe: requests refused before the breaker
+// count toward the probe countdown, and a probe that falls due among
+// them goes to the next request Allow sees.
+func TestBreakerSkipCountsTowardProbe(t *testing.T) {
+	b := NewBreaker(BreakerConfig{Threshold: 1, ProbeEvery: 4})
+	b.Skip() // closed: counts nothing
+	b.Failure()
+	b.Skip()
+	b.Skip()
+	if b.Allow() {
+		t.Fatal("third request admitted while open")
+	}
+	if !b.Allow() {
+		t.Fatal("fourth request is not the probe")
+	}
+	b.Failure()
+	for i := 0; i < 6; i++ {
+		b.Skip()
+	}
+	if b.State() != StateOpen {
+		t.Fatalf("state=%v after skips, want open", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("probe due during the skips not granted to the next request")
+	}
+	var nb *Breaker
+	nb.Skip()
+}
+
 func TestNilBreakerIsClosed(t *testing.T) {
 	var b *Breaker
 	if !b.Allow() || b.State() != StateClosed {
