@@ -4,8 +4,9 @@ GO ?= go
 # (engine queue + close protocol + watchdog, retry path, MPI runtime,
 # reliability sublayer, service admission control, breaker half-open
 # probes, concurrent operations inside one Library) and the lossless
-# kernels, whose tables and scratch are shared through sync.Pool.
-RACE_PKGS = ./internal/core ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman
+# kernels and SZ3, whose tables, scratch and working arrays are shared
+# through sync.Pool.
+RACE_PKGS = ./internal/core ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman ./internal/sz3
 
 # Per-target budget for the fuzz smoke pass (each Fuzz* function runs
 # this long beyond its seed corpus).
@@ -35,7 +36,7 @@ FUZZ_TARGETS = \
 	./internal/service:FuzzProtocol \
 	./internal/ckpt:FuzzManifest
 
-.PHONY: all fmt build vet test race fuzz wallbench check soak figures-check exact-check
+.PHONY: all fmt build build32 vet test race fuzz wallbench check soak figures-check exact-check
 
 all: check
 
@@ -45,6 +46,10 @@ fmt:
 
 build:
 	$(GO) build ./...
+
+# The module builds and vets with a 32-bit int: no constant overflows it.
+build32:
+	GOARCH=386 $(GO) build ./... && GOARCH=386 $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...
@@ -108,7 +113,7 @@ exact-check: figures-check
 	$(GO) test -count=1 -run '^TestFaultSchedulesGolden$$' ./internal/faults
 	$(GO) test -count=1 -run '^TestExt(Engine|Ckpt|Rank)FaultsSoak$$' ./internal/experiments
 
-check: fmt build vet test race fuzz
+check: fmt build build32 vet test race fuzz
 ifeq ($(SOAK),1)
 check: soak
 endif

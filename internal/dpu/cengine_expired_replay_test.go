@@ -11,14 +11,14 @@ import (
 // TestExpiredJobDrainedByResetOnce pins the double-selection edge: a
 // queued job whose wait deadline has already expired is ALSO drained by
 // a journal-replay reset. Two writers race for its handle — the reset
-// drain (ErrEngineLost, a replay candidate) and the stale worker's
+// drain (ErrEngineLost, a replay candidate) and the stale dispatcher's
 // dequeue of the same job (whose deadline has long passed). The caller
 // must observe exactly one completion and therefore replay exactly
 // once; the loser's completion is a dropped non-blocking send.
 func TestExpiredJobDrainedByResetOnce(t *testing.T) {
 	d := newBF2(t)
 	eng := d.CEngine()
-	// Every job draws Wedge: job A freezes the worker at dequeue, so job
+	// Every job draws Wedge: job A freezes the dispatcher at dequeue, so job
 	// B sits in the queue with its deadline already burned.
 	d.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 3, PWedge: 1.0}))
 
@@ -32,11 +32,11 @@ func TestExpiredJobDrainedByResetOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the worker dequeue A and wedge.
+	// Let the dispatcher dequeue A and wedge.
 	time.Sleep(5 * time.Millisecond)
 
 	// Journal-replay selection: the reset drains every in-flight entry —
-	// including expired B — and the retired worker then re-encounters B
+	// including expired B — and the retired dispatcher then re-encounters B
 	// at dequeue.
 	if st := eng.Reset(); st != EngineLive {
 		t.Fatalf("engine state after reset: %v", st)
@@ -54,7 +54,7 @@ func TestExpiredJobDrainedByResetOnce(t *testing.T) {
 	if replays != 2 {
 		t.Fatalf("replayed %d jobs, want 2 (each exactly once)", replays)
 	}
-	// Give the retired worker time to drain B and lose the handle race.
+	// Give the retired dispatcher time to drain B and lose the handle race.
 	time.Sleep(5 * time.Millisecond)
 	if n := len(eng.InflightJobs()); n != 0 {
 		t.Fatalf("%d journal entries leaked past the reset", n)

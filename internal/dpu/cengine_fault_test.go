@@ -88,7 +88,7 @@ func TestWaitTimeoutOnHang(t *testing.T) {
 		t.Fatalf("deadline did not fire: ok=%v err=%v", ok, res.Err)
 	}
 	// The abandoned job still completes in the background without
-	// blocking the worker (buffered handle channel).
+	// blocking the engine (buffered handle channel).
 	d.SetFaultInjector(nil)
 	if res := d.CEngine().Run(compressJob()); res.Err != nil {
 		t.Fatalf("engine wedged after abandoned job: %v", res.Err)
@@ -121,7 +121,7 @@ func TestSubmitCloseRaceOnFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every job hangs briefly, so the single worker drains slowly and
+	// Every job hangs briefly, so the dispatcher drains slowly and
 	// the queue (depth 128) fills while submitters keep pushing.
 	d.SetFaultInjector(faults.NewInjector(faults.Config{
 		Seed: 1, PHang: 1.0, HangDelay: time.Millisecond,

@@ -67,7 +67,7 @@ func TestDeadlineExpiredDropAtDequeue(t *testing.T) {
 
 // TestAbandonedHandlesNeverBlockWorker: completion sends are
 // non-blocking, so handles nobody waits on (timed-out callers, crashed
-// goroutines) never wedge the worker loop.
+// goroutines) never wedge the dispatcher or a lane.
 func TestAbandonedHandlesNeverBlockWorker(t *testing.T) {
 	d := newBF2(t)
 	for i := 0; i < 64; i++ {
@@ -75,7 +75,7 @@ func TestAbandonedHandlesNeverBlockWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The worker must still make progress past all the abandoned
+	// The engine must still make progress past all the abandoned
 	// handles and complete a watched job.
 	h, err := d.CEngine().Submit(compressJob())
 	if err != nil {
@@ -83,7 +83,7 @@ func TestAbandonedHandlesNeverBlockWorker(t *testing.T) {
 	}
 	res, ok := h.WaitTimeout(10 * time.Second)
 	if !ok {
-		t.Fatal("worker blocked behind abandoned handles")
+		t.Fatal("engine blocked behind abandoned handles")
 	}
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -126,7 +126,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 	}
 }
 
-// TestWatchdogWedgeHotResetRecovers: a wedged engine (worker stuck, jobs
+// TestWatchdogWedgeHotResetRecovers: a wedged engine (dispatcher stuck, jobs
 // piling up overdue) is hot-reset by the watchdog and returns to live;
 // in-flight jobs fail with ErrEngineLost, later jobs execute on the
 // fresh epoch.
@@ -135,7 +135,7 @@ func TestWatchdogWedgeHotResetRecovers(t *testing.T) {
 	e := d.CEngine()
 	e.SetInjector(faults.NewInjector(faults.Config{Seed: 7, PWedge: 1.0, MaxInjections: 1}))
 	e.StartWatchdog(testWatchdog())
-	// The first job wedges the worker; the second piles up behind it.
+	// The first job wedges the dispatcher; the second piles up behind it.
 	// Both go overdue, crossing WedgeAfter and declaring the wedge.
 	var handles []*JobHandle
 	for i := 0; i < 2; i++ {

@@ -4,9 +4,11 @@
 // Table II, and the two host modes (§II-A).
 //
 // The C-Engine executes real compression work (via the from-scratch Go
-// codecs) on an asynchronous job queue served by a worker goroutine, the
-// way the real accelerator is driven through DOCA work queues. Virtual
-// durations come from the calibrated cost model in internal/hwmodel.
+// codecs) on an asynchronous job queue, the way the real accelerator is
+// driven through DOCA work queues: one dispatcher drains the queue in
+// order and runs each job's host work on one of runtime.GOMAXPROCS(0)
+// lanes. Virtual durations come from the calibrated cost model in
+// internal/hwmodel, one job at a time, as for a serial engine.
 package dpu
 
 import (

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -25,7 +26,7 @@ func (o Options) capBytes() int {
 	if o.Quick {
 		return 2 << 20
 	}
-	return 1 << 62
+	return math.MaxInt
 }
 
 func (o Options) iters() int {

@@ -53,8 +53,9 @@ type ComputeFaultConfig struct {
 	// StompSpan is the stale run length for BufferStomp; zero means 16.
 	StompSpan int
 	// MaxInjections bounds the number of corruptions actually applied
-	// across all cores; zero means unlimited. Quarantine/readmit soaks
-	// use this to model a unit that goes bad and then recovers.
+	// across all cores, counting those drawn but not yet applied; zero
+	// means unlimited. Quarantine/readmit soaks use this to model a unit
+	// that goes bad and then recovers.
 	MaxInjections int
 	// Cores restricts injection to these core IDs when non-nil — a
 	// single marginal complex instead of machine-wide decay.
@@ -69,6 +70,11 @@ type ComputeInjector struct {
 	stream
 	cfg   ComputeFaultConfig
 	cores map[int]*Rand
+	// pending counts faults drawn but not yet applied. They count against
+	// MaxInjections, so a caller that applies later than it draws (the
+	// C-Engine draws at dispatch, its lanes apply) sees the budget a
+	// caller applying at once would.
+	pending uint64
 }
 
 // NewComputeInjector builds an injector from cfg.
@@ -104,7 +110,8 @@ func (i *ComputeInjector) coreArmed(core int) bool {
 }
 
 // Next draws the SDC decision for the next kernel execution on core.
-// Drawing injects nothing yet: Apply counts the corruptions it makes.
+// Drawing injects nothing yet: Apply counts the corruptions it makes,
+// and every fault drawn must be handed to Apply.
 func (i *ComputeInjector) Next(core int) ComputeDecision {
 	if i == nil {
 		return ComputeDecision{}
@@ -112,30 +119,52 @@ func (i *ComputeInjector) Next(core int) ComputeDecision {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.seen++
-	if !i.coreArmed(core) {
+	if !i.coreArmed(core) || (i.max > 0 && i.injected+i.pending >= uint64(i.max)) {
 		return ComputeDecision{}
 	}
+	var d ComputeDecision
 	rng := i.coreRNG(core)
 	switch i.draw(rng, i.cfg.PKernelFlip, i.cfg.PQuantDrift, i.cfg.PBufferStomp) {
 	case 0:
-		return ComputeDecision{Class: KernelFlip, Off: rng.Uint64(), Bit: rng.Uint64() % 8}
+		d = ComputeDecision{Class: KernelFlip, Off: rng.Uint64(), Bit: rng.Uint64() % 8}
 	case 1:
 		drift := 1
 		if rng.Uint64()&1 == 1 {
 			drift = -1
 		}
-		return ComputeDecision{Class: QuantDrift, Off: rng.Uint64(), Drift: drift}
+		d = ComputeDecision{Class: QuantDrift, Off: rng.Uint64(), Drift: drift}
 	case 2:
-		return ComputeDecision{Class: BufferStomp, Off: rng.Uint64(), Span: i.cfg.StompSpan}
+		d = ComputeDecision{Class: BufferStomp, Off: rng.Uint64(), Span: i.cfg.StompSpan}
+	default:
+		return d
 	}
-	return ComputeDecision{}
+	i.pending++
+	return d
 }
 
 // Apply mutates out in place according to d and reports whether any
 // byte actually changed (an empty output cannot be corrupted). Only
-// applied corruptions count toward MaxInjections and Counts.
+// applied corruptions count toward Counts.
 func (i *ComputeInjector) Apply(d ComputeDecision, out []byte) bool {
-	if i == nil || d.Class == None || len(out) == 0 {
+	if i == nil || d.Class == None {
+		return false
+	}
+	applied := corrupt(d, out)
+	i.mu.Lock()
+	if i.pending > 0 {
+		i.pending--
+	}
+	if applied {
+		i.injected++
+	}
+	i.mu.Unlock()
+	return applied
+}
+
+// corrupt mutates out in place according to d and reports whether any
+// byte changed.
+func corrupt(d ComputeDecision, out []byte) bool {
+	if len(out) == 0 {
 		return false
 	}
 	switch d.Class {
@@ -169,9 +198,6 @@ func (i *ComputeInjector) Apply(d ComputeDecision, out []byte) bool {
 	default:
 		return false
 	}
-	i.mu.Lock()
-	i.injected++
-	i.mu.Unlock()
 	return true
 }
 

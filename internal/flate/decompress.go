@@ -20,7 +20,7 @@ var (
 
 // DefaultMaxOutput caps decompressed output to defend against decompression
 // bombs; callers that know the expected size should pass it explicitly.
-const DefaultMaxOutput = 1 << 31
+const DefaultMaxOutput = 1<<31 - 1
 
 // Decompress inflates a complete RFC 1951 stream.
 func Decompress(src []byte) ([]byte, error) {

@@ -101,7 +101,7 @@ func AppendCompress(dst, src []byte) []byte {
 // Decompress parses a complete LZ4 frame and returns the content,
 // verifying the content checksum when present.
 func Decompress(src []byte) ([]byte, error) {
-	return DecompressLimit(src, 1<<31)
+	return DecompressLimit(src, 1<<31-1)
 }
 
 // DecompressLimit is Decompress with an output cap.

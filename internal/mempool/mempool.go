@@ -71,8 +71,9 @@ type Pool struct {
 const DefaultMaxPerClass = 32
 
 // DefaultMaxPooledSize is the default capacity ceiling for retained
-// buffers (the largest prewarmed class): anything bigger is treated as a
-// one-shot allocation and dropped on Put.
+// buffers (the largest class of the paper's message sweep, filled on
+// demand): anything bigger is treated as a one-shot allocation and
+// dropped on Put.
 const DefaultMaxPooledSize = 64 << 20
 
 // New returns an empty pool.

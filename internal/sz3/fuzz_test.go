@@ -14,7 +14,7 @@ func FuzzDecompressContainer(f *testing.F) {
 	f.Add([]byte{'S', 'Z', '3', 'G', 1, 1})
 	f.Add([]byte{'S', 'Z', '3', 'G', 1, 4, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, dt, _, err := decompress(data)
+		vals, dt, _, err := decompress(data, nil)
 		if err == nil {
 			if dt != Float32 && dt != Float64 {
 				t.Fatalf("invalid dtype %v accepted", dt)

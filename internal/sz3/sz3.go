@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"pedal/internal/fastlz"
 	"pedal/internal/flate"
@@ -27,6 +28,31 @@ const (
 
 var magic = [4]byte{'S', 'Z', '3', 'G'}
 
+// floats reuses the float64 working arrays, as *[]float64: the widened
+// copy of a float32 input, and the reconstruction a compress or a
+// float32 decompress works on. Every element the kernels read they wrote
+// first (the stencils reach only elements earlier in block raster
+// order), so a reused array needs no clearing.
+var floats sync.Pool
+
+// getFloats draws a working array from floats; resize sets its length.
+func getFloats() *[]float64 {
+	if p, ok := floats.Get().(*[]float64); ok {
+		return p
+	}
+	return new([]float64)
+}
+
+// resize sets *p to n elements, reallocating when its capacity is short,
+// and returns it.
+func resize(p *[]float64, n int) []float64 {
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return *p
+}
+
 // CompressFloat64 compresses a float64 array under cfg.
 func CompressFloat64(data []float64, cfg Config) ([]byte, error) {
 	cfg, err := cfg.withDefaults(len(data))
@@ -42,7 +68,9 @@ func CompressFloat32(data []float32, cfg Config) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]float64, len(data))
+	wide := getFloats()
+	defer floats.Put(wide)
+	vals := resize(wide, len(data))
 	for i, v := range data {
 		vals[i] = float64(v)
 	}
@@ -51,7 +79,7 @@ func CompressFloat32(data []float32, cfg Config) ([]byte, error) {
 
 // DecompressFloat64 decompresses a stream produced by CompressFloat64.
 func DecompressFloat64(comp []byte) ([]float64, Config, error) {
-	vals, dt, cfg, err := decompress(comp)
+	vals, dt, cfg, err := decompress(comp, nil)
 	if err != nil {
 		return nil, cfg, err
 	}
@@ -63,7 +91,9 @@ func DecompressFloat64(comp []byte) ([]float64, Config, error) {
 
 // DecompressFloat32 decompresses a stream produced by CompressFloat32.
 func DecompressFloat32(comp []byte) ([]float32, Config, error) {
-	vals, dt, cfg, err := decompress(comp)
+	recon := getFloats()
+	defer floats.Put(recon)
+	vals, dt, cfg, err := decompress(comp, recon)
 	if err != nil {
 		return nil, cfg, err
 	}
@@ -179,12 +209,14 @@ func compress(vals []float64, dt DataType, cfg Config) ([]byte, error) {
 	// The per-block quantization runs through the slab kernels
 	// (slab.go): nested raster loops with the global-edge stencil
 	// guards hoisted out of the interior and the quantizer inlined.
+	recon := getFloats()
+	defer floats.Put(recon)
 	qs := &quantSlab{
 		eb:      eb,
 		twoEB:   q.twoEB,
 		round32: round32,
 		vals:    vals,
-		recon:   make([]float64, n),
+		recon:   resize(recon, n),
 		codes:   make([]uint16, 0, n),
 		strides: lz.strides,
 		dims:    cfg.Dims,
@@ -302,7 +334,10 @@ func appendPackedBits(dst []byte, bits []bool) []byte {
 	return dst
 }
 
-func decompress(comp []byte) ([]float64, DataType, Config, error) {
+// decompress decodes comp. The reconstruction is built in *pooled when
+// that is non-nil, for a caller that copies the values out before it
+// returns the array to floats; nil allocates one the caller may keep.
+func decompress(comp []byte, pooled *[]float64) ([]float64, DataType, Config, error) {
 	var cfg Config
 	if len(comp) < 6 || comp[0] != magic[0] || comp[1] != magic[1] || comp[2] != magic[2] || comp[3] != magic[3] {
 		return nil, 0, cfg, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -314,7 +349,7 @@ func decompress(comp []byte) ([]float64, DataType, Config, error) {
 	body := comp[6:]
 	var payload []byte
 	var err error
-	const maxPayload = 1 << 31
+	const maxPayload = 1<<31 - 1
 	switch backend {
 	case BackendFastLZ:
 		payload, err = fastlz.Decompress(body, maxPayload)
@@ -367,7 +402,7 @@ func decompress(comp []byte) ([]float64, DataType, Config, error) {
 		pos += n
 		cfg.Dims[d] = int(v)
 		total *= int(v)
-		if total > 1<<31 {
+		if total > 1<<31-1 {
 			return nil, 0, cfg, fmt.Errorf("%w: element count overflow", ErrCorrupt)
 		}
 	}
@@ -460,10 +495,13 @@ func decompress(comp []byte) ([]float64, DataType, Config, error) {
 	if zeros > len(exact) {
 		return nil, 0, cfg, fmt.Errorf("%w: missing exact value", ErrCorrupt)
 	}
+	if pooled == nil {
+		pooled = new([]float64)
+	}
 	ds := &dequantSlab{
 		twoEB:   q.twoEB,
 		round32: round32,
-		recon:   make([]float64, total),
+		recon:   resize(pooled, total),
 		codes:   codes,
 		exact:   exact,
 		strides: lz.strides,
