@@ -104,9 +104,12 @@ figures-check:
 # injector's and schedule's decision sequence (internal/faults/testdata),
 # the three seeded soak tables (internal/experiments/testdata/soak), the
 # lossless kernels' output bytes (internal/flate/testdata/codecs.txt) and
-# the Huffman length builder's tie resolution (internal/huffman/testdata).
+# the Huffman length builder's tie resolution (internal/huffman/testdata),
+# and the CRC-32, Adler-32 and XXH32 values every digest, frame and golden
+# above rests on, checked against literals computed outside Go.
 # After an intended change: append -update to that package's go test line.
 exact-check: figures-check
+	$(GO) test -count=1 -run '^Test(CRC32|Adler32|XXH32)KnownVectors$$' ./internal/checksum
 	$(GO) test -count=1 -run '^TestCodecOutputGolden$$' ./internal/flate
 	$(GO) test -count=1 -run '^TestBuildLengthsTiesGolden$$' ./internal/huffman
 	$(GO) test -count=1 -run '^TestGoldenReports$$' ./internal/core

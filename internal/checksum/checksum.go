@@ -1,121 +1,29 @@
-// Package checksum implements the checksums required by the compression
-// container formats PEDAL produces: Adler-32 (zlib, RFC 1950), CRC-32
-// (IEEE 802.3 polynomial, gzip-compatible), and the 32-bit xxHash used by
-// the LZ4 frame format. All are implemented from scratch on top of the
-// format specifications so the library has no dependency on hash/*.
+// Package checksum holds the checksums PEDAL's containers and hops
+// carry: CRC-32 (IEEE 802.3 polynomial, gzip-compatible) on every hop,
+// Adler-32 in zlib trailers (RFC 1950), and the 32-bit xxHash of LZ4
+// frames. CRC-32 and Adler-32 are thin wrappers over hash/crc32 and
+// hash/adler32, so every hop's choice of polynomial lives in this one
+// package. Two things the standard library lacks are implemented here:
+// XXH32, which the LZ4 frame format requires, and the CRC-32 combine
+// operator (CRC32Combine, MakeCRC32Zeros), which lets the pipeline
+// digest chunks on separate workers and stitch the stream CRC after.
 package checksum
 
-// adlerMod is the largest prime smaller than 65536 (RFC 1950 §8.2).
-const adlerMod = 65521
-
-// Adler32 is a running Adler-32 checksum. The zero value is NOT valid;
-// use NewAdler32.
-type Adler32 struct {
-	a, b uint32
-}
-
-// NewAdler32 returns a checksum initialised to the RFC 1950 starting value.
-func NewAdler32() *Adler32 { return &Adler32{a: 1} }
-
-// Write absorbs p into the checksum.
-func (h *Adler32) Write(p []byte) {
-	a, b := h.a, h.b
-	for len(p) > 0 {
-		// Largest n such that 255*n*(n+1)/2 + (n+1)*(adlerMod-1) fits in
-		// uint32; the classical value is 5552.
-		n := len(p)
-		if n > 5552 {
-			n = 5552
-		}
-		for _, c := range p[:n] {
-			a += uint32(c)
-			b += a
-		}
-		a %= adlerMod
-		b %= adlerMod
-		p = p[n:]
-	}
-	h.a, h.b = a, b
-}
-
-// Sum32 returns the current checksum value.
-func (h *Adler32) Sum32() uint32 { return h.b<<16 | h.a }
-
-// Adler32Sum is a convenience one-shot Adler-32 over p.
-func Adler32Sum(p []byte) uint32 {
-	h := NewAdler32()
-	h.Write(p)
-	return h.Sum32()
-}
-
-// crcTable is the byte-at-a-time lookup table for the reflected IEEE
-// polynomial 0xEDB88320.
-var crcTable = func() [256]uint32 {
-	var t [256]uint32
-	for i := range t {
-		c := uint32(i)
-		for k := 0; k < 8; k++ {
-			if c&1 != 0 {
-				c = 0xEDB88320 ^ (c >> 1)
-			} else {
-				c >>= 1
-			}
-		}
-		t[i] = c
-	}
-	return t
-}()
-
-// crcTable8 extends crcTable to the slicing-by-8 form: crcTable8[k][b]
-// is the CRC contribution of byte b followed by k zero bytes, so eight
-// table lookups advance the register by a whole 64-bit word.
-var crcTable8 = func() [8][256]uint32 {
-	var t [8][256]uint32
-	t[0] = crcTable
-	for i := 0; i < 256; i++ {
-		c := crcTable[i]
-		for k := 1; k < 8; k++ {
-			c = crcTable[byte(c)] ^ (c >> 8)
-			t[k][i] = c
-		}
-	}
-	return t
-}()
+import (
+	"encoding/binary"
+	"hash/adler32"
+	"hash/crc32"
+)
 
 // CRC32Update continues a CRC-32 (IEEE) over p from a previous value.
-// Start with crc = 0. The hop-carried digests of the pipelined path run
-// this over every payload byte, so the bulk loop uses slicing-by-8:
-// eight bytes per iteration through the derived tables, with the plain
-// byte-at-a-time loop (crcUpdateBytewise, kept as the differential
-// reference) finishing the tail.
-func CRC32Update(crc uint32, p []byte) uint32 {
-	c := crc ^ 0xFFFFFFFF
-	for len(p) >= 8 {
-		c ^= le32(p)
-		c = crcTable8[7][byte(c)] ^ crcTable8[6][byte(c>>8)] ^
-			crcTable8[5][byte(c>>16)] ^ crcTable8[4][byte(c>>24)] ^
-			crcTable8[3][p[4]] ^ crcTable8[2][p[5]] ^
-			crcTable8[1][p[6]] ^ crcTable8[0][p[7]]
-		p = p[8:]
-	}
-	for _, b := range p {
-		c = crcTable[byte(c)^b] ^ (c >> 8)
-	}
-	return c ^ 0xFFFFFFFF
-}
-
-// crcUpdateBytewise is the definitional byte-at-a-time loop; the
-// checksum tests pin the slicing-by-8 kernel against it.
-func crcUpdateBytewise(crc uint32, p []byte) uint32 {
-	c := crc ^ 0xFFFFFFFF
-	for _, b := range p {
-		c = crcTable[byte(c)^b] ^ (c >> 8)
-	}
-	return c ^ 0xFFFFFFFF
-}
+// Start with crc = 0.
+func CRC32Update(crc uint32, p []byte) uint32 { return crc32.Update(crc, crc32.IEEETable, p) }
 
 // CRC32 is a one-shot CRC-32 (IEEE) over p.
-func CRC32(p []byte) uint32 { return CRC32Update(0, p) }
+func CRC32(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
+
+// Adler32Sum is a one-shot Adler-32 (RFC 1950) over p.
+func Adler32Sum(p []byte) uint32 { return adler32.Checksum(p) }
 
 // gf2MatrixSquare sets square = mat², composing the linear operator
 // with itself.
@@ -159,7 +67,7 @@ func MakeCRC32Zeros(n int) *CRC32Zeros {
 	}
 	var even, odd [32]uint32
 	// odd = the one-bit-shift operator with the polynomial fed back.
-	odd[0] = 0xEDB88320
+	odd[0] = crc32.IEEE
 	row := uint32(1)
 	for i := 1; i < 32; i++ {
 		odd[i] = row
@@ -223,10 +131,6 @@ func xxRound(acc, input uint32) uint32 {
 	return acc * xxPrime1
 }
 
-func le32(p []byte) uint32 {
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-}
-
 // XXH32 computes the 32-bit xxHash of p with the given seed, per the
 // canonical xxHash specification. The LZ4 frame format uses seed 0.
 func XXH32(p []byte, seed uint32) uint32 {
@@ -238,10 +142,10 @@ func XXH32(p []byte, seed uint32) uint32 {
 		v3 := seed
 		v4 := seed - xxPrime1
 		for len(p) >= 16 {
-			v1 = xxRound(v1, le32(p))
-			v2 = xxRound(v2, le32(p[4:]))
-			v3 = xxRound(v3, le32(p[8:]))
-			v4 = xxRound(v4, le32(p[12:]))
+			v1 = xxRound(v1, binary.LittleEndian.Uint32(p))
+			v2 = xxRound(v2, binary.LittleEndian.Uint32(p[4:]))
+			v3 = xxRound(v3, binary.LittleEndian.Uint32(p[8:]))
+			v4 = xxRound(v4, binary.LittleEndian.Uint32(p[12:]))
 			p = p[16:]
 		}
 		h = rol32(v1, 1) + rol32(v2, 7) + rol32(v3, 12) + rol32(v4, 18)
@@ -250,7 +154,7 @@ func XXH32(p []byte, seed uint32) uint32 {
 	}
 	h += uint32(n)
 	for len(p) >= 4 {
-		h += le32(p) * xxPrime3
+		h += binary.LittleEndian.Uint32(p) * xxPrime3
 		h = rol32(h, 17) * xxPrime4
 		p = p[4:]
 	}

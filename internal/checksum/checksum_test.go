@@ -8,6 +8,46 @@ import (
 	"testing/quick"
 )
 
+// pattern is a seeded byte pattern that is easy to reproduce outside
+// Go: byte i is bits 16..23 of the i+1-th state of the LCG
+// x = x*1103515245 + 12345 (mod 2^32) started at x = 1.
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	x := uint32(1)
+	for i := range p {
+		x = x*1103515245 + 12345
+		p[i] = byte(x >> 16)
+	}
+	return p
+}
+
+// patternVectors holds CRC-32 and Adler-32 of pattern(n), computed once
+// with C zlib (python3: zlib.crc32, zlib.adler32) so that the wrappers
+// are checked against a reference outside Go's hash/*. The lengths sit
+// on both sides of the 16- and 64-byte steps where hash/crc32's
+// vectorised kernel changes strategy.
+var patternVectors = []struct {
+	n            int
+	crc, adler32 uint32
+}{
+	{0, 0x00000000, 0x00000001},
+	{1, 0xA0058808, 0x00C700C7},
+	{15, 0x31398A7B, 0x4CB909B3},
+	{16, 0x66386830, 0x56F30A3A},
+	{17, 0x83BAD7DF, 0x612E0A3B},
+	{63, 0x08360A34, 0x23AD1F6A},
+	{64, 0x3C04B8AB, 0x434D1FA0},
+	{65, 0xD4885E2A, 0x63DB208E},
+	{255, 0xF5C338AC, 0x87147D30},
+	{256, 0x8144BF85, 0x04B17D8E},
+	{4095, 0x27711B84, 0x7ADFF930},
+	{4096, 0x4641A512, 0x742BF93D},
+	{65537, 0x81A399CE, 0x074E0258},
+}
+
+// splitPoints straddle 16, 64 and the multiple of 16 at 256 bytes.
+var splitPoints = []int{0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257}
+
 func TestAdler32KnownVectors(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -23,6 +63,11 @@ func TestAdler32KnownVectors(t *testing.T) {
 			t.Errorf("Adler32(%q) = %#x, want %#x", c.in, got, c.want)
 		}
 	}
+	for _, v := range patternVectors {
+		if got := Adler32Sum(pattern(v.n)); got != v.adler32 {
+			t.Errorf("Adler32(pattern(%d)) = %#x, want %#x", v.n, got, v.adler32)
+		}
+	}
 }
 
 func TestAdler32MatchesStdlib(t *testing.T) {
@@ -31,24 +76,6 @@ func TestAdler32MatchesStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAdler32Incremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	data := make([]byte, 100000)
-	rng.Read(data)
-	h := NewAdler32()
-	for off := 0; off < len(data); {
-		n := rng.Intn(7000) + 1
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		h.Write(data[off : off+n])
-		off += n
-	}
-	if h.Sum32() != adler32.Checksum(data) {
-		t.Fatal("incremental Adler-32 mismatch")
 	}
 }
 
@@ -64,6 +91,11 @@ func TestCRC32KnownVectors(t *testing.T) {
 	for _, c := range cases {
 		if got := CRC32([]byte(c.in)); got != c.want {
 			t.Errorf("CRC32(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+	for _, v := range patternVectors {
+		if got := CRC32(pattern(v.n)); got != v.crc {
+			t.Errorf("CRC32(pattern(%d)) = %#x, want %#x", v.n, got, v.crc)
 		}
 	}
 }
@@ -84,25 +116,14 @@ func TestCRC32UpdateComposes(t *testing.T) {
 	if c != CRC32(data) {
 		t.Fatal("CRC32Update does not compose")
 	}
-}
-
-// TestCRC32SlicingMatchesBytewise pins the slicing-by-8 bulk loop
-// against the definitional byte-at-a-time update on every length 0..257
-// and at every alignment within an 8-byte word, including mid-stream
-// continuations — the three ways a table-derivation bug could hide.
-func TestCRC32SlicingMatchesBytewise(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	data := make([]byte, 300)
-	rng.Read(data)
-	for n := 0; n <= 257; n++ {
-		for off := 0; off < 8 && off+n <= len(data); off++ {
-			p := data[off : off+n]
-			if got, want := CRC32(p), crcUpdateBytewise(0, p); got != want {
-				t.Fatalf("CRC32(len=%d off=%d) = %#x, bytewise %#x", n, off, got, want)
-			}
-			mid := CRC32Update(CRC32(data[:off]), p)
-			if want := crcUpdateBytewise(crcUpdateBytewise(0, data[:off]), p); mid != want {
-				t.Fatalf("CRC32Update(len=%d off=%d) = %#x, bytewise %#x", n, off, mid, want)
+	data = pattern(4096 + 257)
+	whole := CRC32(data)
+	for _, head := range splitPoints {
+		// Split at head bytes from the front and from a 4096-byte mark,
+		// so each side of the split crosses every step in turn.
+		for _, split := range []int{head, 4096 + head} {
+			if got := CRC32Update(CRC32Update(0, data[:split]), data[split:]); got != whole {
+				t.Fatalf("CRC32Update(split=%d) = %#x, want %#x", split, got, whole)
 			}
 		}
 	}
@@ -117,7 +138,14 @@ func TestCRC32Combine(t *testing.T) {
 	data := make([]byte, 1000)
 	rng.Read(data)
 	whole := CRC32(data)
+	splits := []int{}
 	for split := 0; split <= len(data); split += 13 {
+		splits = append(splits, split)
+	}
+	for _, n := range splitPoints {
+		splits = append(splits, n, len(data)-n)
+	}
+	for _, split := range splits {
 		a, b := data[:split], data[split:]
 		if got := CRC32Combine(CRC32(a), CRC32(b), len(b)); got != whole {
 			t.Fatalf("CRC32Combine(split=%d) = %#x, want %#x", split, got, whole)

@@ -1,6 +1,7 @@
 package lz4
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -56,16 +57,12 @@ func CompressBound(n int) int {
 // placeholder, and rewound to a stored block if compression expanded it.
 func AppendCompress(dst, src []byte) []byte {
 	out := dst
-	out = appendLE32(out, frameMagic)
+	out = binary.LittleEndian.AppendUint32(out, frameMagic)
 
 	flg := byte(flgVersion | flgContentChecksum | flgContentSize)
 	bd := byte(bdBlockMax4MB)
 	out = append(out, flg, bd)
-	// Content size: 8 bytes little-endian.
-	sz := uint64(len(src))
-	for k := 0; k < 8; k++ {
-		out = append(out, byte(sz>>(8*k)))
-	}
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(src))) // content size
 	// HC: second byte of xxh32 of the descriptor (FLG..content size).
 	hc := byte(checksum.XXH32(out[len(dst)+4:], 0) >> 8)
 	out = append(out, hc)
@@ -82,19 +79,19 @@ func AppendCompress(dst, src []byte) []byte {
 		// Compress in place after a 4-byte size placeholder; rewind to a
 		// stored block if the result did not shrink.
 		sizePos := len(out)
-		out = appendLE32(out, 0)
+		out = binary.LittleEndian.AppendUint32(out, 0)
 		out = AppendCompressBlock(out, chunk)
 		compLen := len(out) - sizePos - 4
 		if compLen >= len(chunk) {
 			out = out[:sizePos]
-			out = appendLE32(out, uint32(len(chunk))|uncompressedBit)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(chunk))|uncompressedBit)
 			out = append(out, chunk...)
 		} else {
-			writeLE32(out[sizePos:], uint32(compLen))
+			binary.LittleEndian.PutUint32(out[sizePos:], uint32(compLen))
 		}
 	}
-	out = appendLE32(out, 0) // EndMark
-	out = appendLE32(out, checksum.XXH32(src, 0))
+	out = binary.LittleEndian.AppendUint32(out, 0) // EndMark
+	out = binary.LittleEndian.AppendUint32(out, checksum.XXH32(src, 0))
 	return out
 }
 
@@ -109,7 +106,7 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 	if len(src) < 7 {
 		return nil, ErrFrameMagic
 	}
-	if readLE32(src) != frameMagic {
+	if binary.LittleEndian.Uint32(src) != frameMagic {
 		return nil, ErrFrameMagic
 	}
 	i := 4
@@ -128,9 +125,7 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 		if i+8 > len(src) {
 			return nil, fmt.Errorf("%w: truncated content size", ErrFrameHeader)
 		}
-		for k := 0; k < 8; k++ {
-			contentSize |= uint64(src[i+k]) << (8 * k)
-		}
+		contentSize = binary.LittleEndian.Uint64(src[i:])
 		i += 8
 	}
 	if flg&(1<<0) != 0 { // DictID present
@@ -165,7 +160,7 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 		if i+4 > len(src) {
 			return nil, fmt.Errorf("%w: truncated block size", ErrCorrupt)
 		}
-		word := readLE32(src[i:])
+		word := binary.LittleEndian.Uint32(src[i:])
 		i += 4
 		if word == 0 {
 			break // EndMark
@@ -184,7 +179,7 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 			if i+4 > len(src) {
 				return nil, fmt.Errorf("%w: truncated block checksum", ErrCorrupt)
 			}
-			if readLE32(src[i:]) != checksum.XXH32(blk, 0) {
+			if binary.LittleEndian.Uint32(src[i:]) != checksum.XXH32(blk, 0) {
 				return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 			}
 			i += 4
@@ -205,7 +200,7 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 		if i+4 > len(src) {
 			return nil, fmt.Errorf("%w: truncated content checksum", ErrCorrupt)
 		}
-		if readLE32(src[i:]) != checksum.XXH32(out, 0) {
+		if binary.LittleEndian.Uint32(src[i:]) != checksum.XXH32(out, 0) {
 			return nil, ErrFrameChecksum
 		}
 	}
@@ -213,16 +208,4 @@ func DecompressLimit(src []byte, limit int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: content size %d != declared %d", ErrCorrupt, len(out), contentSize)
 	}
 	return out, nil
-}
-
-func appendLE32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func writeLE32(p []byte, v uint32) {
-	p[0], p[1], p[2], p[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func readLE32(p []byte) uint32 {
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
 }

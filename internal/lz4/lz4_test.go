@@ -2,6 +2,7 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -267,7 +268,7 @@ func TestFrameBlocksIndependent(t *testing.T) {
 	}
 }
 
-func le32(v uint32) []byte { return appendLE32(nil, v) }
+func le32(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 
 // TestHashTableOffsetWrap drives the tagged-offset rule to its edge: with
 // base placed so the next call just fits below math.MaxInt32 and every

@@ -48,8 +48,8 @@ func (c *Comm) sendPipelined(dst, tag int, dt core.DataType, cc *CompressionConf
 	// the workers digest their own chunks and patches the combined CRC
 	// over the descriptor afterwards — the streamed protocol puts the
 	// descriptor on the wire before any chunk compresses (it doubles as
-	// the RTS signal), so the sender pays one up-front pass through the
-	// slicing-by-8 kernel.
+	// the RTS signal), so the sender pays one up-front CRC-32 pass over
+	// the payload.
 	var srcCRC uint32
 	if spec.Sampler.Mode() == integrity.VerifyFull {
 		srcCRC = checksum.CRC32(data)

@@ -9,6 +9,7 @@
 package zlibfmt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -109,21 +110,16 @@ func Decompress(src []byte) ([]byte, error) {
 
 // DecompressLimit is Decompress with an output size cap.
 func DecompressLimit(src []byte, limit int) ([]byte, error) {
-	if err := ParseHeader(src); err != nil {
+	body, err := Body(src)
+	if err != nil {
 		return nil, err
 	}
-	if len(src) < 2+4 {
-		return nil, ErrShort
-	}
-	body := src[2 : len(src)-4]
 	out, err := flate.DecompressLimit(body, limit)
 	if err != nil {
 		return nil, err
 	}
-	tr := src[len(src)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := checksum.Adler32Sum(out); got != want {
-		return nil, fmt.Errorf("%w: got %#x want %#x", ErrChecksum, got, want)
+	if err := VerifyTrailer(src, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -147,8 +143,7 @@ func VerifyTrailer(src, uncompressed []byte) error {
 	if len(src) < 6 {
 		return ErrShort
 	}
-	tr := src[len(src)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
+	want := binary.BigEndian.Uint32(src[len(src)-4:])
 	if got := checksum.Adler32Sum(uncompressed); got != want {
 		return fmt.Errorf("%w: got %#x want %#x", ErrChecksum, got, want)
 	}
