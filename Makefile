@@ -3,10 +3,10 @@ GO ?= go
 # Packages exercised with the race detector: the concurrency-heavy layers
 # (engine queue + close protocol + watchdog, retry path, MPI runtime,
 # reliability sublayer, service admission control, breaker half-open
-# probes, concurrent operations inside one Library) and the lossless
-# kernels and SZ3, whose tables, scratch and working arrays are shared
-# through sync.Pool.
-RACE_PKGS = ./internal/core ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman ./internal/sz3
+# probes, concurrent operations inside one Library, the lock-free stats
+# ledgers they share) and the lossless kernels and SZ3, whose tables,
+# scratch and working arrays are shared through sync.Pool.
+RACE_PKGS = ./internal/core ./internal/stats ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman ./internal/sz3
 
 # Per-target budget for the fuzz smoke pass (each Fuzz* function runs
 # this long beyond its seed corpus).

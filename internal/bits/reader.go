@@ -126,11 +126,6 @@ func (r *Reader) ReadBytes(p []byte) error {
 	return nil
 }
 
-// BitsRemaining reports how many unread bits remain.
-func (r *Reader) BitsRemaining() int {
-	return (len(r.buf)-r.pos)*8 + int(r.n)
-}
-
 // Reset re-points the Reader at p and clears all buffered state, so a
 // pooled Reader is reused without allocation.
 func (r *Reader) Reset(p []byte) { *r = Reader{buf: p} }

@@ -33,11 +33,6 @@ func shardFileName(rank int, copy uint8) string {
 	return fmt.Sprintf("shard-%05d.%d", rank, copy)
 }
 
-// EpochDir returns the directory name of a committed epoch — for
-// operational tooling and fault-injection harnesses that address
-// specific files.
-func EpochDir(e uint64) string { return epochDirName(e) }
-
 // ShardPath returns the path of one shard copy inside a committed
 // epoch.
 func ShardPath(e uint64, rank int, copy uint8) string {

@@ -39,9 +39,8 @@ func (l *Library) CompressContext(ctx context.Context, d Design, dt DataType, da
 		return nil, Report{}, err
 	}
 	defer l.mu.RUnlock()
-	rep := Report{Design: d, Engine: d.Engine, InBytes: len(data)}
-	st := l.beginOp(ctx, &rep)
-	o := &st
+	o := new(op)
+	l.beginOp(o, ctx, Report{Design: d, Engine: d.Engine, InBytes: len(data)})
 	defer l.endOp(o)
 
 	var msg []byte
@@ -54,14 +53,14 @@ func (l *Library) CompressContext(ctx context.Context, d Design, dt DataType, da
 		msg, err = l.compressSerial(o, d, dt, data)
 	}
 	if err != nil {
-		return nil, rep, err
+		return nil, o.rep, err
 	}
 	// Source-side CRC: computed once here so every downstream hop —
 	// pipeline descriptor, transport frame, fleet response, checkpoint
 	// shard — can carry and check it instead of recomputing or trusting.
-	rep.MsgCRC = checksum.CRC32(msg)
+	o.rep.MsgCRC = checksum.CRC32(msg)
 	o.finish()
-	return msg, rep, nil
+	return msg, o.rep, nil
 }
 
 // compressSerial compresses the whole message as one unit with d's
@@ -251,11 +250,11 @@ func (l *Library) socEncode(o *op, algo AlgoID, spec pipeline.Spec, dst, data []
 		return nil, err
 	}
 	l.chargeSoCBufPrep(o, len(data))
-	if _, err := l.ctx.SoCRun(o.bd, algo.hwAlgo(), hwmodel.Compress, len(data)); err != nil {
+	if _, err := l.ctx.SoCRun(&o.bd, algo.hwAlgo(), hwmodel.Compress, len(data)); err != nil {
 		return nil, err
 	}
 	if algo == AlgoSZ3 && spec.SZ3.Backend != sz3.BackendNone {
-		if _, err := l.ctx.SoCRun(o.bd, hwmodel.FastLZ, hwmodel.Compress, estimateCorePayload(len(data))); err != nil {
+		if _, err := l.ctx.SoCRun(&o.bd, hwmodel.FastLZ, hwmodel.Compress, estimateCorePayload(len(data))); err != nil {
 			return nil, err
 		}
 	}
@@ -277,7 +276,7 @@ func (l *Library) engineDeflateMsg(o *op, head []byte, tail int, data []byte) ([
 	var engineErr error
 	if supported && l.engineAllowed(o, hwmodel.Compress) {
 		l.chargeEngineBufPrep(o, len(data))
-		res, err := l.ctx.Submit(o.ctx, o.bd, hwmodel.Deflate, hwmodel.Compress, data, 0)
+		res, err := l.ctx.Submit(o.ctx, &o.bd, hwmodel.Deflate, hwmodel.Compress, data, 0)
 		l.noteEngineResult(o, err)
 		if err == nil {
 			o.rep.Engine = hwmodel.CEngine
@@ -311,7 +310,7 @@ func (l *Library) engineDeflateMsg(o *op, head []byte, tail int, data []byte) ([
 // baseline mode the full allocation+mapping cost recurs per message.
 func (l *Library) chargeEngineBufPrep(o *op, n int) {
 	if l.opts.Baseline {
-		l.ctx.MMap(o.bd, n)
+		l.ctx.MMap(&o.bd, n)
 	} else {
 		o.bd.Add(stats.PhaseBufPrep, hwmodel.MemcpyCost(l.dev.Generation(), n))
 	}

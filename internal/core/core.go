@@ -133,10 +133,10 @@ type Report struct {
 	InBytes  int
 	OutBytes int
 	Virtual  time.Duration
-	Phases   map[stats.Phase]time.Duration
+	Phases   stats.Phases
 	// Counts reports the resilience events (retries, timeouts, breaker
-	// transitions...) this operation incurred.
-	Counts map[stats.Counter]uint64
+	// transitions...) this operation incurred, indexed by stats.Counter.
+	Counts stats.Counts
 	// MsgCRC is the CRC-32 of the returned buffer (the wire message for
 	// Compress, the expanded output for Decompress), computed once at the
 	// source so downstream hops — pipeline descriptors, transport frames,
@@ -327,36 +327,36 @@ func (l *Library) enter() error {
 }
 
 // op is the state of one Compress or Decompress execution: the caller's
-// context, the breakdown the operation charges, and the report it fills.
-// It is created by beginOp, lives on the entry point's stack, and is
-// handed to every helper, so nothing an operation mutates lives on the
-// Library.
+// context, the breakdown the operation charges, and the report it fills,
+// all held by value. The entry point's new(op) stays on its stack;
+// beginOp opens it in place, because a breakdown must not be copied.
+// It is handed to every helper, so nothing an operation mutates lives on
+// the Library.
 type op struct {
 	ctx context.Context
-	bd  *stats.Breakdown
-	rep *Report
+	bd  stats.Breakdown
+	rep Report
 }
 
-// beginOp opens an operation: accounting goes to a fresh breakdown that
-// endOp merges into the lifetime total.
-func (l *Library) beginOp(ctx context.Context, rep *Report) op {
+// beginOp opens an operation: accounting goes to the op's own breakdown,
+// which endOp merges into the lifetime total.
+func (l *Library) beginOp(o *op, ctx context.Context, rep Report) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := op{ctx: ctx, bd: stats.NewBreakdown(), rep: rep}
+	o.ctx, o.rep = ctx, rep
 	if l.opts.Baseline {
 		// The baseline pays DOCA initialisation on every message (§V-D:
 		// "memory allocation and the DOCA initialization procedure are
 		// invoked during every message transmission").
 		o.bd.Add(stats.PhaseDOCAInit, hwmodel.InitCost(l.dev.Generation()))
 	}
-	return o
 }
 
 // endOp closes an operation, successful or not: the lifetime total
 // absorbs whatever it charged.
 func (l *Library) endOp(o *op) {
-	l.total.Merge(o.bd)
+	l.total.Merge(&o.bd)
 }
 
 // finish writes the operation's account into its report; the success
@@ -364,7 +364,7 @@ func (l *Library) endOp(o *op) {
 func (o *op) finish() {
 	o.rep.Phases = o.bd.Snapshot()
 	o.rep.Counts = o.bd.Counts()
-	o.rep.Virtual = o.bd.Total()
+	o.rep.Virtual = o.rep.Phases.Total()
 }
 
 // expired returns why the operation's context is done, or nil. A
@@ -420,23 +420,12 @@ func (l *Library) engineAllowed(o *op, op hwmodel.Op) bool {
 	return false
 }
 
-// onEngineEvent is the C-Engine fault-domain hook: it mirrors watchdog
-// transitions into the lifetime counters and performs the DOCA re-open
-// half of a hot-reset. It runs on the watchdog goroutine, belongs to no
-// operation, and so charges the lifetime total directly.
+// onEngineEvent is the C-Engine fault-domain hook: it performs the DOCA
+// re-open half of a hot-reset. It runs on the watchdog goroutine; the
+// watchdog's own tallies are in EngineHealth.
 func (l *Library) onEngineEvent(ev dpu.EngineEvent) {
-	switch ev.Kind {
-	case dpu.EventStallDetected:
-		l.total.Inc(stats.CounterEngineStalls)
-	case dpu.EventWedgeDeclared:
-		l.total.Inc(stats.CounterEngineWedges)
-	case dpu.EventResetOK:
-		l.total.Inc(stats.CounterEngineResets)
+	if ev.Kind == dpu.EventResetOK {
 		l.ctx.Reopen()
-	case dpu.EventResetFailed:
-		l.total.Inc(stats.CounterEngineResetFailures)
-	case dpu.EventDegraded:
-		l.total.Inc(stats.CounterEngineDegraded)
 	}
 }
 

@@ -492,7 +492,7 @@ func TestConcurrentCompress(t *testing.T) {
 
 	sum := stats.NewBreakdown()
 	for p, d := range before {
-		sum.Add(p, d)
+		sum.Add(stats.Phase(p), d)
 	}
 	for i := range concurrentMix {
 		if errs[i] != nil {
@@ -505,10 +505,10 @@ func TestConcurrentCompress(t *testing.T) {
 				t.Errorf("%v op %d: concurrent report %+v differs from serial %+v", concurrentMix[i].d, j, g, w)
 			}
 			for p, d := range g.Phases {
-				sum.Add(p, d)
+				sum.Add(stats.Phase(p), d)
 			}
 			for c, n := range g.Counts {
-				sum.CountAdd(c, n)
+				sum.CountAdd(stats.Counter(c), n)
 			}
 		}
 	}

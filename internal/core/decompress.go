@@ -50,13 +50,12 @@ func (l *Library) DecompressContext(ctx context.Context, engine hwmodel.Engine, 
 	if maxOutput <= 0 {
 		maxOutput = 1 << 30
 	}
-	rep := Report{Design: Design{Algo: algo, Engine: engine}, Engine: engine, InBytes: len(body)}
-	st := l.beginOp(ctx, &rep)
-	o := &st
+	o := new(op)
+	l.beginOp(o, ctx, Report{Design: Design{Algo: algo, Engine: engine}, Engine: engine, InBytes: len(body)})
 	defer l.endOp(o)
 
 	if err := l.checkDeadline(o, "decompress"); err != nil {
-		return nil, rep, err
+		return nil, o.rep, err
 	}
 	var out []byte
 	switch algo {
@@ -70,13 +69,13 @@ func (l *Library) DecompressContext(ctx context.Context, engine hwmodel.Engine, 
 		err = fmt.Errorf("%w %d", ErrRetiredAlgo, algo)
 	}
 	if err != nil {
-		return nil, rep, err
+		return nil, o.rep, err
 	}
-	rep.OutBytes = len(out)
+	o.rep.OutBytes = len(out)
 	// Expanded-output CRC for hop carrying (mirrors Compress.MsgCRC).
-	rep.MsgCRC = checksum.CRC32(out)
+	o.rep.MsgCRC = checksum.CRC32(out)
 	o.finish()
-	return out, rep, nil
+	return out, o.rep, nil
 }
 
 // decompressLossless expands a DEFLATE, zlib or LZ4 body on the
@@ -105,7 +104,7 @@ func (l *Library) decompressLossless(o *op, algo AlgoID, body []byte, maxOutput 
 	var engineErr error
 	if supported && l.engineAllowed(o, hwmodel.Decompress) {
 		l.chargeEngineBufPrep(o, len(body))
-		res, err := l.ctx.Submit(o.ctx, o.bd, hw, hwmodel.Decompress, body, maxOutput)
+		res, err := l.ctx.Submit(o.ctx, &o.bd, hw, hwmodel.Decompress, body, maxOutput)
 		l.noteEngineResult(o, err)
 		if err == nil {
 			return res.Output, nil
@@ -135,7 +134,7 @@ func (l *Library) decompressLossless(o *op, algo AlgoID, body []byte, maxOutput 
 		return nil, err
 	}
 	// Software decompression time also scales with the expanded output.
-	if _, err := l.ctx.SoCRun(o.bd, hw, hwmodel.Decompress, len(out)); err != nil {
+	if _, err := l.ctx.SoCRun(&o.bd, hw, hwmodel.Decompress, len(out)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -178,11 +177,11 @@ func (l *Library) decompressSZ3(o *op, dt DataType, body []byte, maxOutput int) 
 		return nil, fmt.Errorf("core: decompressed %d bytes exceed receive buffer %d", len(out), maxOutput)
 	}
 	if chargeSoCBackend {
-		if _, err := l.ctx.SoCRun(o.bd, backendAlgo(backend), hwmodel.Decompress, estimateCorePayload(len(out))); err != nil {
+		if _, err := l.ctx.SoCRun(&o.bd, backendAlgo(backend), hwmodel.Decompress, estimateCorePayload(len(out))); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := l.ctx.SoCRun(o.bd, hwmodel.SZ3Core, hwmodel.Decompress, len(out)); err != nil {
+	if _, err := l.ctx.SoCRun(&o.bd, hwmodel.SZ3Core, hwmodel.Decompress, len(out)); err != nil {
 		return nil, err
 	}
 	return out, nil

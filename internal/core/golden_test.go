@@ -8,14 +8,17 @@ import (
 
 	"pedal/internal/datasets"
 	"pedal/internal/hwmodel"
+	"pedal/internal/stats"
 )
 
 // goldenLine renders the fields of a Report that a refactor must not
 // move: payload size, source CRC, modelled time and its phase split.
 func goldenLine(r Report) string {
-	phases := make([]string, 0, len(r.Phases))
+	var phases []string
 	for p, d := range r.Phases {
-		phases = append(phases, fmt.Sprintf("%s=%d", p, d.Nanoseconds()))
+		if d != 0 {
+			phases = append(phases, fmt.Sprintf("%s=%d", stats.Phase(p), d.Nanoseconds()))
+		}
 	}
 	sort.Strings(phases)
 	return fmt.Sprintf("out=%d crc=%08x virt=%d [%s]", r.OutBytes, r.MsgCRC, r.Virtual.Nanoseconds(), strings.Join(phases, " "))

@@ -66,16 +66,15 @@ func (l *Library) CompressPipelinedContext(ctx context.Context, d Design, dt Dat
 		return nil, Report{}, err
 	}
 	defer l.mu.RUnlock()
-	rep := Report{Design: d, InBytes: len(data)}
-	st := l.beginOp(ctx, &rep)
-	o := &st
+	o := new(op)
+	l.beginOp(o, ctx, Report{Design: d, InBytes: len(data)})
 	defer l.endOp(o)
 	msg, err := l.compressPipelined(o, d, dt, data)
 	if err != nil {
-		return nil, rep, err
+		return nil, o.rep, err
 	}
 	o.finish()
-	return msg, rep, nil
+	return msg, o.rep, nil
 }
 
 // compressPipelined runs one operation through the chunk pipeline and
@@ -122,10 +121,10 @@ func (l *Library) compressPipelined(o *op, d Design, dt DataType, data []byte) (
 	}
 	binary.LittleEndian.PutUint32(out[descEnd-4:descEnd], sum.SrcCRC)
 	o.bd.Add(stats.PhaseCompress, sum.Makespan)
-	addCount(o.bd, stats.CounterJobsReplayed, sum.Replayed)
-	addCount(o.bd, stats.CounterVerifyMismatches, sum.VerifyMismatches)
-	addCount(o.bd, stats.CounterScalarFallbacks, sum.ScalarFallbacks)
-	addCount(o.bd, stats.CounterCoresQuarantined, sum.Quarantines)
+	o.bd.CountAdd(stats.CounterJobsReplayed, uint64(sum.Replayed))
+	o.bd.CountAdd(stats.CounterVerifyMismatches, uint64(sum.VerifyMismatches))
+	o.bd.CountAdd(stats.CounterScalarFallbacks, uint64(sum.ScalarFallbacks))
+	o.bd.CountAdd(stats.CounterCoresQuarantined, uint64(sum.Quarantines))
 	if sum.EngineChunks > 0 {
 		o.rep.Engine = hwmodel.CEngine
 	} else if d.Engine == hwmodel.CEngine {
@@ -135,14 +134,6 @@ func (l *Library) compressPipelined(o *op, d Design, dt DataType, data []byte) (
 	// The size drawn is an estimate: chunk frames of incompressible or
 	// SZ3 data can append past it.
 	return l.rehome(drawn, out), nil
-}
-
-// addCount records n events of k; none leaves the counter absent from
-// the report rather than present at zero.
-func addCount(bd *stats.Breakdown, k stats.Counter, n int) {
-	if n > 0 {
-		bd.CountAdd(k, uint64(n))
-	}
 }
 
 // DecompressPipelined decodes a CompressPipelined message. It is the
@@ -170,7 +161,7 @@ func (l *Library) decompressPipelined(o *op, body []byte, maxOutput int) ([]byte
 	}
 	l.chargeSoCBufPrep(o, len(out))
 	o.bd.Add(stats.PhaseDecompress, sum.Makespan)
-	addCount(o.bd, stats.CounterJobsReplayed, sum.Replayed)
+	o.bd.CountAdd(stats.CounterJobsReplayed, uint64(sum.Replayed))
 	if sum.EngineChunks > 0 {
 		o.rep.Engine = hwmodel.CEngine
 	} else if o.rep.Engine == hwmodel.CEngine {

@@ -46,7 +46,7 @@ func (l *Library) verifyCompressed(o *op, d Design, spec pipeline.Spec, src, msg
 		o.bd.Inc(stats.CounterCoresQuarantined)
 	}
 	o.bd.Inc(stats.CounterScalarFallbacks)
-	if _, cerr := l.ctx.SoCRun(o.bd, d.Algo.hwAlgo(), hwmodel.Compress, len(src)); err == nil {
+	if _, cerr := l.ctx.SoCRun(&o.bd, d.Algo.hwAlgo(), hwmodel.Compress, len(src)); err == nil {
 		err = cerr
 	}
 	if err != nil {

@@ -80,11 +80,10 @@ type Context struct {
 	// concurrently, and Reopen runs on the engine watchdog goroutine
 	// during a hot-reset, concurrently with whatever operation lost its
 	// job to the wedge.
-	mu      sync.Mutex
-	rng     *faults.Rand
-	closed  bool
-	policy  RetryPolicy
-	reopens uint64
+	mu     sync.Mutex
+	rng    *faults.Rand
+	closed bool
+	policy RetryPolicy
 }
 
 // Init opens the device and builds the DOCA environment, charging the
@@ -137,20 +136,12 @@ func (c *Context) Close() {
 // belongs to no operation, so the cost goes to the lifetime total.
 func (c *Context) Reopen() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return
 	}
-	c.reopens++
-	c.mu.Unlock()
 	c.total.Add(stats.PhaseReset, hwmodel.ResetCost(c.dev.Generation()))
-}
-
-// Reopens reports how many hot-reset re-opens this context performed.
-func (c *Context) Reopens() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reopens
 }
 
 // MMap charges bd the cost of making n bytes DOCA-operable per message

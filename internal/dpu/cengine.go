@@ -931,13 +931,6 @@ func (e *CEngine) StartWatchdog(cfg WatchdogConfig) {
 	}()
 }
 
-// WatchdogEnabled reports whether the stall watchdog is armed.
-func (e *CEngine) WatchdogEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.wd != nil
-}
-
 func (e *CEngine) watchdog(cfg WatchdogConfig) {
 	tick := time.NewTicker(cfg.Interval)
 	defer tick.Stop()

@@ -433,21 +433,6 @@ func (r *Router) AddShard(id, addr string) {
 	r.traceLocked("join", id, "")
 }
 
-// RemoveShard unregisters a shard (abrupt removal — prefer Drain for a
-// graceful exit) and rebuilds the ring.
-func (r *Router) RemoveShard(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.shards[id]
-	if !ok {
-		return
-	}
-	delete(r.shards, id)
-	r.rebuildRingLocked()
-	r.traceLocked("remove", id, "")
-	go s.recycle()
-}
-
 func (r *Router) rebuildRingLocked() {
 	ids := make([]string, 0, len(r.shards))
 	for id := range r.shards {

@@ -319,6 +319,3 @@ func (d *Decoder) shortStreamError(v uint32, avail uint) error {
 	}
 	return ErrInvalidCode
 }
-
-// MaxBits reports the longest code length in the table.
-func (d *Decoder) MaxBits() int { return int(d.maxBits) }

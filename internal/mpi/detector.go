@@ -341,15 +341,6 @@ func (c *Comm) Fenced() bool {
 	return c.det != nil && c.det.isDead(c.worldRank)
 }
 
-// DeadRanks returns the world ranks the failure detector has declared
-// dead (nil without a detector).
-func (c *Comm) DeadRanks() []int {
-	if c.det == nil {
-		return nil
-	}
-	return c.det.deadRanks()
-}
-
 // liveness is the per-poll fault check inside every blocking wait:
 // fencing first (a zombie must not keep operating), then the awaited
 // peer, then whole-group revocation, then the optional wall-clock

@@ -12,6 +12,7 @@ import (
 
 	"pedal/internal/core"
 	"pedal/internal/hwmodel"
+	"pedal/internal/stats"
 )
 
 func textPayload(n int) []byte {
@@ -261,7 +262,7 @@ func TestSmallMessagesSkipCompression(t *testing.T) {
 		return nil
 	})
 	// The sender's phase breakdown must show no compression activity.
-	if comms[0].Breakdown().Get("compression") != 0 {
+	if comms[0].Breakdown().Get(stats.PhaseCompress) != 0 {
 		t.Fatal("eager message was compressed")
 	}
 }

@@ -448,7 +448,7 @@ func (c *Comm) RecvTyped(src, tag int, dt core.DataType, maxLen int) ([]byte, er
 // mergePhases folds a PEDAL operation report into the rank's breakdown.
 func (c *Comm) mergePhases(rep core.Report) {
 	for p, d := range rep.Phases {
-		c.bd.Add(p, d)
+		c.bd.Add(stats.Phase(p), d)
 	}
 }
 

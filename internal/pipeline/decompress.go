@@ -36,10 +36,8 @@ type DecompressSession struct {
 	wg        sync.WaitGroup
 	// wantCRC is the descriptor-carried CRC of the whole uncompressed
 	// payload (zero when the source did not carry one); Wait checks the
-	// reassembled output against it. rejected counts chunks this hop
-	// refused for a frame-CRC mismatch.
-	wantCRC  uint32
-	rejected int
+	// reassembled output against it.
+	wantCRC uint32
 
 	// jobs holds each engine chunk's job outcome, reported to the engine
 	// in index order once the session's decodes are done.
@@ -127,7 +125,6 @@ func (s *DecompressSession) Submit(index, origLen int, crc uint32, comp []byte, 
 	}
 	if crc != 0 {
 		if got := checksum.CRC32(comp); got != crc {
-			s.rejected++
 			return &integrity.CorruptError{Hop: "pipeline.submit", Segment: "chunk", Index: index, Want: crc, Got: got}
 		}
 	}
@@ -340,10 +337,6 @@ func (s *DecompressSession) resolve() {
 	}
 	s.pl.done()
 }
-
-// Rejected reports how many chunk submissions this session refused for
-// a frame-CRC mismatch (hop-level corruption detection).
-func (s *DecompressSession) Rejected() int { return s.rejected }
 
 // bytesToF32 reinterprets little-endian bytes as float32 values.
 func bytesToF32(data []byte) ([]float32, error) {

@@ -245,9 +245,6 @@ func (p *Pipeline) SetMaxConcurrency(n int) {
 	p.maxConc.Store(int32(n))
 }
 
-// MaxConcurrency reports the active brownout cap (0 = unrestricted).
-func (p *Pipeline) MaxConcurrency() int { return int(p.maxConc.Load()) }
-
 // effWorkers is the SoC parallelism the virtual schedule plans against:
 // the worker count, shrunk by the brownout cap when one is set.
 func (p *Pipeline) effWorkers() int {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -789,15 +788,4 @@ func (s *Server) HealthBody() []byte {
 		snap.PressureRejects+s.bd.Count(stats.CounterMemPressure),
 		tb.Count(stats.CounterDeadlineAbandoned)+s.bd.Count(stats.CounterDeadlineAbandoned),
 		s.bd.Count(stats.CounterBrownouts), s.rung.Load()))
-}
-
-// ListenAndServe is the convenience entry used by cmd/pedald.
-func ListenAndServe(addr string, lib *core.Library) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s := NewServer(lib)
-	s.Logf = log.Printf
-	return s.Serve(ln)
 }

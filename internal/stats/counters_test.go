@@ -60,7 +60,7 @@ func TestStringIncludesNonZeroCounters(t *testing.T) {
 	if !strings.Contains(s, "retries=1") {
 		t.Fatalf("String() missing counter: %q", s)
 	}
-	if strings.Contains(s, string(CounterTimeouts)) {
+	if strings.Contains(s, CounterTimeouts.String()) {
 		t.Fatalf("String() shows zero counter: %q", s)
 	}
 }
@@ -71,7 +71,26 @@ func TestNilBreakdownCounters(t *testing.T) {
 	if b.Count(CounterRetries) != 0 {
 		t.Fatal("nil breakdown count")
 	}
-	if len(b.Counts()) != 0 {
+	if b.Counts() != (Counts{}) {
 		t.Fatal("nil breakdown counts map")
+	}
+}
+
+func TestNamesComplete(t *testing.T) {
+	seen := map[string]bool{}
+	for p := Phase(0); p < numPhases; p++ {
+		if n := p.String(); n == "" || seen[n] {
+			t.Fatalf("phase %d has empty or duplicate name %q", p, n)
+		}
+		seen[p.String()] = true
+	}
+	for k := Counter(0); k < numCounters; k++ {
+		if n := k.String(); n == "" || seen[n] {
+			t.Fatalf("counter %d has empty or duplicate name %q", k, n)
+		}
+		seen[k.String()] = true
+	}
+	if s := numCounters.String(); !strings.HasPrefix(s, "Counter(") {
+		t.Fatalf("out-of-range counter = %q", s)
 	}
 }

@@ -3,278 +3,319 @@
 // fractions — DOCA initialisation, buffer preparation, compression, and
 // decompression — and this package is the accounting backbone for
 // regenerating them.
+//
+// Phases and counters are small integer enums, and a Breakdown is two
+// fixed arrays of atomic words indexed by them: no map and no lock. Every
+// operation, hop and daemon charges a breakdown, and the lifetime totals
+// are shared by every goroutine of a Library, server or router, so each
+// charge is one atomic operation and folding one breakdown into another
+// touches only its non-zero entries. A breakdown's zero value is ready to
+// use, which lets an operation keep its ledger inside its own state
+// instead of allocating one.
 package stats
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Phase labels one segment of a compression run.
-type Phase string
+type Phase uint8
 
 // The four fractions of Figs. 7 and 9, plus auxiliary phases used by the
 // MPI co-design experiments.
 const (
-	PhaseDOCAInit   Phase = "doca_init"
-	PhaseBufPrep    Phase = "buffer_prep"
-	PhaseCompress   Phase = "compression"
-	PhaseDecompress Phase = "decompression"
-	PhaseWire       Phase = "wire"
-	PhaseOther      Phase = "other"
+	PhaseDOCAInit Phase = iota
+	PhaseBufPrep
+	PhaseCompress
+	PhaseDecompress
+	PhaseWire
 	// PhaseRetry accumulates the virtual backoff delays spent retrying
 	// transient C-Engine failures.
-	PhaseRetry Phase = "retry_backoff"
+	PhaseRetry
 	// PhaseReset accumulates the virtual cost of engine hot-resets
 	// (work-queue teardown + rebuild after a wedge).
-	PhaseReset Phase = "engine_reset"
+	PhaseReset
 	// PhaseHedgeWait accumulates the latency-percentile delays the fleet
 	// router waited before launching hedge requests: the price of tail
 	// tolerance, charged as virtual time like retry backoff.
-	PhaseHedgeWait Phase = "hedge_wait"
+	PhaseHedgeWait
+	numPhases
 )
+
+// phaseNames is Phase.String's one table.
+var phaseNames = [numPhases]string{
+	PhaseDOCAInit: "doca_init", PhaseBufPrep: "buffer_prep", PhaseCompress: "compression",
+	PhaseDecompress: "decompression", PhaseWire: "wire", PhaseRetry: "retry_backoff",
+	PhaseReset: "engine_reset", PhaseHedgeWait: "hedge_wait",
+}
+
+func (p Phase) String() string {
+	if p < numPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("Phase(%d)", uint8(p))
+}
 
 // Counter names a monotonically increasing resilience event count.
 // Unlike phases (virtual time), counters tally *how often* the fault
 // handling machinery fired, so experiments can report availability under
 // injected faults.
-type Counter string
+type Counter uint8
 
-// Resilience counters.
 const (
+	// Resilience counters.
+
 	// CounterRetries counts transient-failure resubmissions.
-	CounterRetries Counter = "retries"
+	CounterRetries Counter = iota
 	// CounterTimeouts counts jobs that missed their completion deadline.
-	CounterTimeouts Counter = "timeouts"
+	CounterTimeouts
 	// CounterCorruptions counts engine outputs rejected by checksum
 	// verification.
-	CounterCorruptions Counter = "corruption_detected"
+	CounterCorruptions
 	// CounterEngineFailures counts hard C-Engine failures (after retry
 	// exhaustion) seen by the fallback layer.
-	CounterEngineFailures Counter = "engine_failures"
+	CounterEngineFailures
 	// CounterBreakerTrips and CounterBreakerRecoveries count circuit
 	// breaker open/close transitions.
-	CounterBreakerTrips      Counter = "breaker_trips"
-	CounterBreakerRecoveries Counter = "breaker_recoveries"
+	CounterBreakerTrips
+	CounterBreakerRecoveries
 	// CounterDegradedOps counts operations routed straight to the SoC
 	// because the breaker was open.
-	CounterDegradedOps Counter = "degraded_ops"
-)
+	CounterDegradedOps
 
-// Engine fault-domain counters (PR 4): the stall watchdog, hot-reset
-// state machine, and journal replay in internal/dpu and internal/core.
-const (
-	// CounterEngineStalls counts jobs the watchdog failed as overdue
-	// (submit timestamp exceeded the expected-latency budget).
-	CounterEngineStalls Counter = "engine_stall_detected"
-	// CounterEngineWedges counts whole-engine wedge declarations (K
-	// consecutive stalls; every in-flight job failed with ErrEngineLost).
-	CounterEngineWedges Counter = "engine_wedges"
-	// CounterEngineResets counts successful hot-resets (engine back to
-	// live); CounterEngineResetFailures counts failed reset attempts.
-	CounterEngineResets        Counter = "engine_reset"
-	CounterEngineResetFailures Counter = "engine_reset_failures"
-	// CounterEngineDegraded counts escalations to permanent SoC-only
-	// degradation after reset attempts were exhausted.
-	CounterEngineDegraded Counter = "engine_degraded_permanent"
+	// Engine fault-domain counters (internal/dpu and internal/core; the
+	// watchdog's stall, wedge and reset tallies live in dpu.EngineHealth).
+
 	// CounterJobsReplayed counts operations that lost their engine job to
 	// a stall/wedge and were deterministically re-executed on the SoC
 	// path from the in-flight journal.
-	CounterJobsReplayed Counter = "jobs_replayed"
-	// CounterJobsExpiredDropped counts queued jobs dropped at dequeue
-	// because their completion deadline had already passed.
-	CounterJobsExpiredDropped Counter = "jobs_dropped_expired"
-)
+	CounterJobsReplayed
 
-// Network reliability counters (internal/transport's faulty wrapper and
-// reliability sublayer). The net_injected_* counters tally faults the
-// seeded injector put on the wire; the remaining counters tally what the
-// reliability machinery detected and repaired on the receive side.
-const (
-	CounterNetInjDrops    Counter = "net_injected_drops"
-	CounterNetInjDups     Counter = "net_injected_dups"
-	CounterNetInjReorders Counter = "net_injected_reorders"
-	CounterNetInjCorrupts Counter = "net_injected_corrupts"
-	CounterNetInjDelays   Counter = "net_injected_delays"
+	// Network reliability counters (internal/transport's faulty wrapper and
+	// reliability sublayer). The net_injected_* counters tally faults the
+	// seeded injector put on the wire; the remaining counters tally what the
+	// reliability machinery detected and repaired on the receive side.
+
+	CounterNetInjDrops
+	CounterNetInjDups
+	CounterNetInjReorders
+	CounterNetInjCorrupts
+	CounterNetInjDelays
 	// CounterRetransmits counts frames re-sent by the reliability
 	// sublayer (RTO expiry or NACK-triggered fast retransmit).
-	CounterRetransmits Counter = "retransmits"
+	CounterRetransmits
 	// CounterNetCorrupt counts frames rejected by CRC verification.
-	CounterNetCorrupt Counter = "net_corrupt_detected"
+	CounterNetCorrupt
 	// CounterNetDuplicates counts already-delivered frames discarded by
 	// sequence-number deduplication.
-	CounterNetDuplicates Counter = "net_duplicates_dropped"
+	CounterNetDuplicates
 	// CounterNetReorders counts out-of-order frames buffered and later
 	// delivered in sequence.
-	CounterNetReorders Counter = "net_reorders_healed"
+	CounterNetReorders
 	// CounterNetNacks counts NACK control frames sent to request a
 	// retransmission (gap or CRC failure observed).
-	CounterNetNacks Counter = "net_nacks_sent"
-)
+	CounterNetNacks
 
-// Process fault-domain counters (PR 5): the heartbeat failure detector,
-// ULFM-style communicator shrink, and epoch-stamped frame filtering in
-// internal/mpi.
-const (
+	// Process fault-domain counters (internal/mpi): the heartbeat failure
+	// detector, ULFM-style communicator shrink, and epoch-stamped frame
+	// filtering.
+
 	// CounterHeartbeats counts heartbeats the detector accepted from
 	// this rank.
-	CounterHeartbeats Counter = "heartbeats_sent"
-	// CounterRankDeaths counts ranks the detector declared failed
-	// (heartbeat staleness exceeded the suspicion timeout).
-	CounterRankDeaths Counter = "rank_deaths_declared"
+	CounterHeartbeats
 	// CounterFencedBeats counts heartbeats ignored because they came
 	// from a rank already declared dead (zombie fencing: a restarted or
 	// unhung process never rejoins the old world).
-	CounterFencedBeats Counter = "fenced_heartbeats_dropped"
+	CounterFencedBeats
 	// CounterRevocations counts operations aborted with a rank-failure
 	// error instead of blocking on a dead peer.
-	CounterRevocations Counter = "ops_revoked"
+	CounterRevocations
 	// CounterShrinks counts successful World.Shrink agreements installed
 	// by this rank (each installs a new dense group and epoch).
-	CounterShrinks Counter = "comm_shrinks"
+	CounterShrinks
 	// CounterStaleFrames counts frames dropped by the epoch filter:
 	// leftovers of an operation interrupted by a failure, or traffic
 	// from fenced ranks. Dropping them is what makes post-shrink re-runs
 	// idempotent.
-	CounterStaleFrames Counter = "stale_frames_dropped"
+	CounterStaleFrames
 	// CounterShrinkJoinResends counts join re-transmissions during the
 	// shrink agreement (coordinator change or lost first join).
-	CounterShrinkJoinResends Counter = "shrink_join_resends"
-)
+	CounterShrinkJoinResends
 
-// Service admission-control counters (internal/service).
-const (
+	// Service admission-control counters (internal/service).
+
 	// CounterRequests counts requests the server answered (any status).
-	CounterRequests Counter = "requests_served"
+	CounterRequests
 	// CounterSheds counts requests refused with a busy status because
 	// both the handler semaphore and the wait queue were full.
-	CounterSheds Counter = "requests_shed"
+	CounterSheds
 	// CounterPanics counts handler panics converted into error
 	// responses instead of daemon crashes.
-	CounterPanics Counter = "panics_recovered"
+	CounterPanics
 	// CounterDrained counts requests completed while the server was
 	// draining towards shutdown.
-	CounterDrained Counter = "drained_requests"
-)
+	CounterDrained
 
-// Fleet fault-domain counters (internal/fleet): the shard router's
-// shedding, failover, hedging and health-plane machinery.
-const (
+	// Fleet fault-domain counters (internal/fleet): the shard router's
+	// shedding, failover, hedging and health-plane machinery.
+
 	// CounterFleetSheds counts best-effort requests the router refused
 	// because the primary shard was saturated (priority load shedding).
-	CounterFleetSheds Counter = "fleet_sheds"
+	CounterFleetSheds
 	// CounterQuotaSheds counts requests refused because the tenant was
 	// over its in-flight quota.
-	CounterQuotaSheds Counter = "fleet_quota_sheds"
+	CounterQuotaSheds
 	// CounterFailovers counts attempts re-routed to a failover shard
 	// after a peer-class failure on the previous one.
-	CounterFailovers Counter = "fleet_failovers"
+	CounterFailovers
 	// CounterHedges counts hedge requests launched after the latency
 	// trigger fired; CounterHedgeWins counts the hedges that finished
 	// before the primary attempt.
-	CounterHedges    Counter = "fleet_hedges"
-	CounterHedgeWins Counter = "fleet_hedge_wins"
+	CounterHedges
+	CounterHedgeWins
 	// CounterShardEjects and CounterShardReadmits count shard health
 	// transitions out of and back into the routing set.
-	CounterShardEjects   Counter = "shards_ejected"
-	CounterShardReadmits Counter = "shards_readmitted"
+	CounterShardEjects
+	CounterShardReadmits
 	// CounterShardDrains counts shards gracefully drained: hash range
 	// migrated, in-flight requests completed, daemon safe to stop.
-	CounterShardDrains Counter = "shards_drained"
-)
+	CounterShardDrains
 
-// Storage fault-domain counters (internal/ckpt): the checkpoint store's
-// commit protocol, digest verification and scrub-and-repair machinery.
-const (
+	// Storage fault-domain counters (internal/ckpt): the checkpoint store's
+	// commit protocol, digest verification and scrub-and-repair machinery.
+
 	// CounterCkptCommits counts checkpoints made durable (manifest
 	// atomically renamed into place).
-	CounterCkptCommits Counter = "ckpt_commits"
+	CounterCkptCommits
 	// CounterCkptRestores counts restarts that recovered a fully
 	// digest-verified checkpoint.
-	CounterCkptRestores Counter = "ckpt_restores"
+	CounterCkptRestores
 	// CounterCkptTornManifests counts manifests rejected by magic/CRC
 	// validation (torn write or rot in the metadata itself).
-	CounterCkptTornManifests Counter = "ckpt_torn_manifests"
+	CounterCkptTornManifests
 	// CounterCkptRotDetected counts shard copies that failed digest
 	// verification (torn writes and silent bit rot both land here).
-	CounterCkptRotDetected Counter = "ckpt_rot_detected"
+	CounterCkptRotDetected
 	// CounterCkptRepairs counts shard copies rewritten from a surviving
 	// replica or re-compressed from source (read-repair and scrub).
-	CounterCkptRepairs Counter = "ckpt_shard_repairs"
+	CounterCkptRepairs
 	// CounterCkptCondemned counts epochs declared unrecoverable and
 	// retired from the restore sequence.
-	CounterCkptCondemned Counter = "ckpt_epochs_condemned"
-)
+	CounterCkptCondemned
 
-// Compute fault-domain counters (internal/integrity): verified
-// compression, hop-carried checksum rejection and the silent-data-
-// corruption quarantine ladder.
-const (
+	// Compute fault-domain counters (internal/integrity): verified
+	// compression, hop-carried checksum rejection and the silent-data-
+	// corruption quarantine ladder.
+
 	// CounterVerifyMismatches counts compressed outputs that failed
 	// decode-verification against the source digest (or the scalar-vs-
 	// slab differential referee) before release.
-	CounterVerifyMismatches Counter = "verify_mismatches"
+	CounterVerifyMismatches
 	// CounterHopsRejected counts payloads rejected at a hop boundary
 	// (pipeline reassembly, fleet response, checkpoint write-back)
 	// because the hop-carried CRC no longer matched the bytes.
-	CounterHopsRejected Counter = "hops_rejected"
+	CounterHopsRejected
 	// CounterCoresQuarantined counts compute units (C-Engine complexes)
 	// pulled from service after repeated verified mismatches.
-	CounterCoresQuarantined Counter = "cores_quarantined"
+	CounterCoresQuarantined
 	// CounterScalarFallbacks counts operations transparently re-executed
 	// on the scalar reference path after a verification failure.
-	CounterScalarFallbacks Counter = "scalar_fallbacks"
-)
+	CounterScalarFallbacks
 
-// Overload fault-domain counters (mempool budgets, deadline
-// propagation, cooperative backpressure): the machinery that makes the
-// system degrade under pressure instead of OOMing or working past the
-// point anyone still wants the answer.
-const (
+	// Overload fault-domain counters (mempool budgets, deadline
+	// propagation, cooperative backpressure): the machinery that makes the
+	// system degrade under pressure instead of OOMing or working past the
+	// point anyone still wants the answer.
+
 	// CounterDeadlineAbandoned counts operations abandoned at a deadline
 	// checkpoint with a typed ErrDeadline: the caller's budget ran out,
 	// so the layer released its pooled buffers and stopped instead of
 	// finishing work nobody is waiting for. Every layer (core, pipeline,
 	// service, fleet) feeds the same counter.
-	CounterDeadlineAbandoned Counter = "deadline_abandoned"
+	CounterDeadlineAbandoned
 	// CounterMemPressure counts typed ErrMemPressure refusals: a
 	// governed pool draw that would have exceeded the byte budget.
-	CounterMemPressure Counter = "mem_pressure_rejects"
-	// CounterMemPressureWaits counts governed pool draws that had to
-	// block for budget before succeeding — the early-warning signal that
-	// the budget is sized at the knee.
-	CounterMemPressureWaits Counter = "mem_pressure_waits"
+	CounterMemPressure
 	// CounterBrownouts counts brownout-ladder escalations: the service
 	// observed sustained pool pressure or queue depth and stepped down a
 	// rung (shed low-priority, shrink pipeline concurrency, serial
 	// fallback).
-	CounterBrownouts Counter = "brownout_steps"
+	CounterBrownouts
+	numCounters
 )
 
-// Breakdown is a concurrency-safe accumulator of virtual durations per
-// phase plus resilience event counters.
-type Breakdown struct {
-	mu sync.Mutex
-	m  map[Phase]time.Duration
-	c  map[Counter]uint64
+// counterNames is Counter.String's one table.
+var counterNames = [numCounters]string{
+	CounterRetries: "retries", CounterTimeouts: "timeouts", CounterCorruptions: "corruption_detected",
+	CounterEngineFailures: "engine_failures", CounterBreakerTrips: "breaker_trips",
+	CounterBreakerRecoveries: "breaker_recoveries", CounterDegradedOps: "degraded_ops",
+	CounterJobsReplayed: "jobs_replayed",
+	CounterNetInjDrops:  "net_injected_drops", CounterNetInjDups: "net_injected_dups",
+	CounterNetInjReorders: "net_injected_reorders", CounterNetInjCorrupts: "net_injected_corrupts",
+	CounterNetInjDelays: "net_injected_delays", CounterRetransmits: "retransmits",
+	CounterNetCorrupt: "net_corrupt_detected", CounterNetDuplicates: "net_duplicates_dropped",
+	CounterNetReorders: "net_reorders_healed", CounterNetNacks: "net_nacks_sent",
+	CounterHeartbeats: "heartbeats_sent", CounterFencedBeats: "fenced_heartbeats_dropped",
+	CounterRevocations: "ops_revoked", CounterShrinks: "comm_shrinks",
+	CounterStaleFrames: "stale_frames_dropped", CounterShrinkJoinResends: "shrink_join_resends",
+	CounterRequests: "requests_served", CounterSheds: "requests_shed",
+	CounterPanics: "panics_recovered", CounterDrained: "drained_requests",
+	CounterFleetSheds: "fleet_sheds", CounterQuotaSheds: "fleet_quota_sheds",
+	CounterFailovers: "fleet_failovers", CounterHedges: "fleet_hedges", CounterHedgeWins: "fleet_hedge_wins",
+	CounterShardEjects: "shards_ejected", CounterShardReadmits: "shards_readmitted",
+	CounterShardDrains: "shards_drained",
+	CounterCkptCommits: "ckpt_commits", CounterCkptRestores: "ckpt_restores",
+	CounterCkptTornManifests: "ckpt_torn_manifests", CounterCkptRotDetected: "ckpt_rot_detected",
+	CounterCkptRepairs: "ckpt_shard_repairs", CounterCkptCondemned: "ckpt_epochs_condemned",
+	CounterVerifyMismatches: "verify_mismatches", CounterHopsRejected: "hops_rejected",
+	CounterCoresQuarantined: "cores_quarantined", CounterScalarFallbacks: "scalar_fallbacks",
+	CounterDeadlineAbandoned: "deadline_abandoned", CounterMemPressure: "mem_pressure_rejects",
+	CounterBrownouts: "brownout_steps",
 }
 
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{m: make(map[Phase]time.Duration), c: make(map[Counter]uint64)}
+func (k Counter) String() string {
+	if k < numCounters {
+		return counterNames[k]
+	}
+	return fmt.Sprintf("Counter(%d)", uint8(k))
 }
+
+// Phases is a breakdown's phase durations, indexed by Phase.
+type Phases [numPhases]time.Duration
+
+// Total returns the sum over all phases.
+func (ps Phases) Total() time.Duration {
+	var t time.Duration
+	for _, d := range ps {
+		t += d
+	}
+	return t
+}
+
+// Counts is a breakdown's event counts, indexed by Counter.
+type Counts [numCounters]uint64
+
+// Breakdown is a concurrency-safe accumulator of virtual durations per
+// phase plus resilience event counters. Each entry is its own atomic
+// word; the zero value is ready to use, and a Breakdown must not be
+// copied after first use.
+type Breakdown struct {
+	phases [numPhases]atomic.Int64
+	counts [numCounters]atomic.Uint64
+}
+
+// NewBreakdown returns an empty breakdown for a long-lived owner.
+func NewBreakdown() *Breakdown { return new(Breakdown) }
 
 // Add accumulates d into phase p.
 func (b *Breakdown) Add(p Phase, d time.Duration) {
-	if b == nil {
-		return
+	if b != nil {
+		b.phases[p].Add(int64(d))
 	}
-	b.mu.Lock()
-	b.m[p] += d
-	b.mu.Unlock()
 }
 
 // Get returns the accumulated duration for phase p.
@@ -282,24 +323,11 @@ func (b *Breakdown) Get(p Phase) time.Duration {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m[p]
+	return time.Duration(b.phases[p].Load())
 }
 
 // Total returns the sum over all phases.
-func (b *Breakdown) Total() time.Duration {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.m {
-		t += d
-	}
-	return t
-}
+func (b *Breakdown) Total() time.Duration { return b.Snapshot().Total() }
 
 // Fraction returns phase p's share of the total, in [0, 1].
 func (b *Breakdown) Fraction(p Phase) float64 {
@@ -315,12 +343,9 @@ func (b *Breakdown) Inc(k Counter) { b.CountAdd(k, 1) }
 
 // CountAdd adds n to counter k.
 func (b *Breakdown) CountAdd(k Counter, n uint64) {
-	if b == nil {
-		return
+	if b != nil {
+		b.counts[k].Add(n)
 	}
-	b.mu.Lock()
-	b.c[k] += n
-	b.mu.Unlock()
 }
 
 // Count returns the accumulated value of counter k.
@@ -328,21 +353,16 @@ func (b *Breakdown) Count(k Counter) uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.c[k]
+	return b.counts[k].Load()
 }
 
-// Counts returns a copy of the counter map.
-func (b *Breakdown) Counts() map[Counter]uint64 {
-	out := make(map[Counter]uint64)
-	if b == nil {
-		return out
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for k, v := range b.c {
-		out[k] = v
+// Counts returns a copy of the counters.
+func (b *Breakdown) Counts() Counts {
+	var out Counts
+	if b != nil {
+		for k := range b.counts {
+			out[k] = b.counts[k].Load()
+		}
 	}
 	return out
 }
@@ -352,74 +372,68 @@ func (b *Breakdown) Reset() {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	b.m = make(map[Phase]time.Duration)
-	b.c = make(map[Counter]uint64)
-	b.mu.Unlock()
+	for p := range b.phases {
+		b.phases[p].Store(0)
+	}
+	for k := range b.counts {
+		b.counts[k].Store(0)
+	}
 }
 
-// Snapshot returns a copy of the phase map.
-func (b *Breakdown) Snapshot() map[Phase]time.Duration {
-	out := make(map[Phase]time.Duration)
-	if b == nil {
-		return out
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for p, d := range b.m {
-		out[p] = d
+// Snapshot returns a copy of the phase durations.
+func (b *Breakdown) Snapshot() Phases {
+	var out Phases
+	if b != nil {
+		for p := range b.phases {
+			out[p] = time.Duration(b.phases[p].Load())
+		}
 	}
 	return out
 }
 
-// Merge adds every phase and counter of other into b.
+// Merge adds every phase and counter of other into b. Only non-zero
+// entries are written, so folding one operation into a shared total
+// touches just the few words that operation charged.
 func (b *Breakdown) Merge(other *Breakdown) {
 	if b == nil || other == nil {
 		return
 	}
-	for p, d := range other.Snapshot() {
-		b.Add(p, d)
+	for p := range other.phases {
+		if d := other.phases[p].Load(); d != 0 {
+			b.phases[p].Add(d)
+		}
 	}
-	for k, n := range other.Counts() {
-		b.CountAdd(k, n)
+	for k := range other.counts {
+		if n := other.counts[k].Load(); n != 0 {
+			b.counts[k].Add(n)
+		}
 	}
 }
 
 // String formats the breakdown as "phase=dur(frac%)" pairs sorted by
 // phase name, followed by non-zero counters, for log and table output.
+// Phases that were never charged are left out.
 func (b *Breakdown) String() string {
 	snap := b.Snapshot()
-	phases := make([]string, 0, len(snap))
-	for p := range snap {
-		phases = append(phases, string(p))
-	}
-	sort.Strings(phases)
-	total := b.Total()
-	var sb strings.Builder
-	for i, p := range phases {
-		if i > 0 {
-			sb.WriteString(" ")
+	total := snap.Total()
+	var fields []string
+	for p, d := range snap {
+		if d == 0 {
+			continue
 		}
-		d := snap[Phase(p)]
 		frac := 0.0
 		if total > 0 {
 			frac = float64(d) / float64(total) * 100
 		}
-		fmt.Fprintf(&sb, "%s=%v(%.1f%%)", p, d.Round(time.Microsecond), frac)
+		fields = append(fields, fmt.Sprintf("%s=%v(%.1f%%)", Phase(p), d.Round(time.Microsecond), frac))
 	}
-	counts := b.Counts()
-	keys := make([]string, 0, len(counts))
-	for k, v := range counts {
-		if v > 0 {
-			keys = append(keys, string(k))
+	sort.Strings(fields)
+	var counters []string
+	for k, n := range b.Counts() {
+		if n > 0 {
+			counters = append(counters, fmt.Sprintf("%s=%d", Counter(k), n))
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		fmt.Fprintf(&sb, "%s=%d", k, counts[Counter(k)])
-	}
-	return sb.String()
+	sort.Strings(counters)
+	return strings.Join(append(fields, counters...), " ")
 }

@@ -74,19 +74,37 @@ func TestStringFormat(t *testing.T) {
 }
 
 func TestConcurrentAdd(t *testing.T) {
-	b := NewBreakdown()
+	// Eight goroutines charge one shared breakdown directly and, the way
+	// core's operations do, each folds its own per-operation breakdowns
+	// into a shared total with Merge. No update may be lost.
+	const goroutines, rounds = 8, 1000
+	b, total := NewBreakdown(), NewBreakdown()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
+			for i := 0; i < rounds; i++ {
 				b.Add(PhaseCompress, time.Microsecond)
+				b.CountAdd(CounterRetries, 2)
+				var op Breakdown
+				op.Add(PhaseBufPrep, time.Nanosecond)
+				op.Add(PhaseCompress, 3*time.Nanosecond)
+				op.Inc(CounterJobsReplayed)
+				total.Merge(&op)
 			}
 		}()
 	}
 	wg.Wait()
-	if b.Get(PhaseCompress) != 8*1000*time.Microsecond {
-		t.Fatalf("lost updates: %v", b.Get(PhaseCompress))
+	const n = goroutines * rounds
+	if b.Get(PhaseCompress) != n*time.Microsecond || b.Count(CounterRetries) != 2*n {
+		t.Fatalf("lost updates: %v", b)
+	}
+	if total.Get(PhaseBufPrep) != n*time.Nanosecond || total.Get(PhaseCompress) != 3*n*time.Nanosecond ||
+		total.Count(CounterJobsReplayed) != n || total.Total() != 4*n*time.Nanosecond {
+		t.Fatalf("lost merges: %v", total)
+	}
+	if total.Counts() != (Counts{CounterJobsReplayed: n}) {
+		t.Fatalf("merge touched other counters: %v", total.Counts())
 	}
 }
