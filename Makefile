@@ -1,12 +1,13 @@
 GO ?= go
 
 # Packages exercised with the race detector: the concurrency-heavy layers
-# (engine queue + close protocol + watchdog, retry path, MPI runtime,
-# reliability sublayer, service admission control, breaker half-open
-# probes, concurrent operations inside one Library, the lock-free stats
-# ledgers they share) and the lossless kernels and SZ3, whose tables,
-# scratch and working arrays are shared through sync.Pool.
-RACE_PKGS = ./internal/core ./internal/stats ./internal/dpu ./internal/doca ./internal/mpi ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman ./internal/sz3
+# (engine queue + close protocol + watchdog, retry path, MPI runtime and
+# the OSU loops that drive one goroutine per rank, reliability sublayer,
+# service admission control, breaker half-open probes, concurrent
+# operations inside one Library, the lock-free stats ledgers they share)
+# and the lossless kernels and SZ3, whose tables, scratch and working
+# arrays are shared through sync.Pool.
+RACE_PKGS = ./internal/core ./internal/stats ./internal/dpu ./internal/doca ./internal/mpi ./internal/osu ./internal/transport ./internal/service ./internal/pipeline ./internal/faults ./internal/fleet ./internal/ckpt ./internal/mempool ./internal/lz4 ./internal/lz77 ./internal/flate ./internal/huffman ./internal/sz3
 
 # Per-target budget for the fuzz smoke pass (each Fuzz* function runs
 # this long beyond its seed corpus).
@@ -105,6 +106,7 @@ figures-check:
 # the three seeded soak tables (internal/experiments/testdata/soak), the
 # lossless kernels' output bytes (internal/flate/testdata/codecs.txt) and
 # the Huffman length builder's tie resolution (internal/huffman/testdata),
+# the MPI envelope bytes of every frame kind (internal/mpi),
 # and the CRC-32, Adler-32 and XXH32 values every digest, frame and golden
 # above rests on, checked against literals computed outside Go.
 # After an intended change: append -update to that package's go test line.
@@ -112,6 +114,7 @@ exact-check: figures-check
 	$(GO) test -count=1 -run '^Test(CRC32|Adler32|XXH32)KnownVectors$$' ./internal/checksum
 	$(GO) test -count=1 -run '^TestCodecOutputGolden$$' ./internal/flate
 	$(GO) test -count=1 -run '^TestBuildLengthsTiesGolden$$' ./internal/huffman
+	$(GO) test -count=1 -run '^TestEnvelopeGolden$$' ./internal/mpi
 	$(GO) test -count=1 -run '^TestGoldenReports$$' ./internal/core
 	$(GO) test -count=1 -run '^TestFaultSchedulesGolden$$' ./internal/faults
 	$(GO) test -count=1 -run '^TestExt(Engine|Ckpt|Rank)FaultsSoak$$' ./internal/experiments

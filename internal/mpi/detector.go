@@ -380,13 +380,8 @@ func (c *Comm) liveness(await int, start time.Time) error {
 // releasing pooled compressed payloads so an aborted transfer leaks no
 // mempool buffers.
 func (c *Comm) failPending(err error) {
-	for seq, r := range c.pending {
-		delete(c.pending, seq)
-		if r.pooled && r.payload != nil {
-			c.pedal.Release(r.payload)
-		}
-		r.payload = nil
-		r.done, r.err = true, err
+	for _, r := range c.pending {
+		r.abortSend(err)
 	}
 }
 

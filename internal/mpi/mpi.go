@@ -6,6 +6,12 @@
 // binding layer with a PEDAL-owned bounce buffer so the decompressed
 // message lands in the user buffer without an extra copy.
 //
+// The protocol, not the payload, says what is compressed: eager payloads
+// are always raw, and in a world configured with Compression every
+// Rendezvous payload is a PEDAL message (a pipelined world streams it as
+// chunk frames). A receiver therefore never inspects a payload's first
+// bytes to decide whether to decompress it.
+//
 // PEDAL_init runs inside the world construction (the paper integrates it
 // into MPI_Init), so no per-message path pays initialisation costs unless
 // the world is configured as the baseline.
@@ -53,22 +59,20 @@ const AnySource = -1
 // messages").
 const DefaultRendezvousThreshold = 64 << 10
 
-// CompressionConfig enables PEDAL in the runtime.
+// CompressionConfig enables PEDAL in the runtime: every Rendezvous
+// message is compressed, and no eager message is.
 type CompressionConfig struct {
 	// Design selects the compression design for outgoing messages.
 	Design core.Design
 	// DataType describes outgoing payloads for the lossy design; Send
 	// uses it when the caller does not override per message.
 	DataType core.DataType
-	// MinSize overrides the size above which messages are compressed;
-	// zero means the rendezvous threshold.
-	MinSize int
 	// Pipelined streams Rendezvous messages as chunked frames: chunk
 	// compression fans across the SoC workers and the C-Engine, each
 	// compressed chunk departs the moment it completes, and the receiver
 	// decompresses chunks while later ones are still in flight
-	// (internal/pipeline). Messages below the rendezvous threshold use
-	// the ordinary path.
+	// (internal/pipeline). Only Send streams; Isend sends one
+	// compressed DATA frame, which the receiver handles either way.
 	Pipelined bool
 }
 
@@ -307,23 +311,6 @@ func (c *Comm) Close() {
 	if c.pedal != nil {
 		c.pedal.Finalize()
 	}
-}
-
-// compressionFor decides whether an outgoing payload of size n gets
-// compressed, honouring the RNDV-only rule.
-func (c *Comm) compressionFor(n int) *CompressionConfig {
-	cc := c.opts.Compression
-	if cc == nil || c.pedal == nil {
-		return nil
-	}
-	min := cc.MinSize
-	if min == 0 {
-		min = c.opts.RendezvousThreshold
-	}
-	if n < min {
-		return nil
-	}
-	return cc
 }
 
 // wire models the network between two DPUs for a payload of n bytes.

@@ -27,7 +27,6 @@ type Request struct {
 	// once the DATA frame is on the wire (or the request aborts).
 	pooled  bool
 	origLen int
-	rndv    bool
 
 	// Recv state.
 	src    int
@@ -39,11 +38,7 @@ type Request struct {
 // immediately; Rendezvous messages complete in Wait/Test once the
 // receiver grants the transfer (CTS) and the data frame is on the wire.
 func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
-	dt := core.TypeBytes
-	if cc := c.opts.Compression; cc != nil && cc.DataType != 0 {
-		dt = cc.DataType
-	}
-	return c.IsendTyped(dst, tag, dt, data)
+	return c.IsendTyped(dst, tag, c.dataType(), data)
 }
 
 // IsendTyped is Isend with an explicit datatype.
@@ -51,35 +46,33 @@ func (c *Comm) IsendTyped(dst, tag int, dt core.DataType, data []byte) (*Request
 	if err := c.opBegin(); err != nil {
 		return nil, err
 	}
-	origLen := len(data)
-	payload := data
-	pooled := false
-	if cc := c.compressionFor(origLen); cc != nil {
-		msg, rep, err := c.pedal.Compress(cc.Design, dt, data)
+	r := &Request{c: c, isSend: true, dst: dst, tag: tag, origLen: len(data)}
+	if len(data) < c.opts.RendezvousThreshold {
+		// Eager: single frame, payload inline and never compressed.
+		r.done = true
+		r.err = c.sendFrame(dst, kindEager, tag, c.nextSeq(), len(data), data)
+		return r, r.err
+	}
+	r.payload = data
+	// PEDAL hook, sender side: between the shim and transport layers
+	// (Fig. 6). A compressing world compresses every Rendezvous message.
+	if c.pedal != nil {
+		msg, rep, err := c.pedal.Compress(c.opts.Compression.Design, dt, data)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: pedal compress: %w", err)
 		}
-		payload = msg
-		pooled = true
+		r.payload, r.pooled = msg, true
 		c.clock.Advance(rep.Virtual)
 		c.mergePhases(rep)
 	}
-	r := &Request{c: c, isSend: true, dst: dst, tag: tag, origLen: origLen, payload: payload, pooled: pooled}
-	if origLen < c.opts.RendezvousThreshold {
-		r.done = true
-		r.err = c.sendFrame(dst, kindEager, tag, c.nextSeq(), origLen, payload)
-		r.release()
-		return r, r.err
-	}
-	r.rndv = true
+	// Rendezvous: the RTS carries the payload size; the receiver posts a
+	// buffer of that size and grants with CTS. Register before the RTS
+	// leaves so any blocking wait can service the CTS the moment it
+	// arrives (progress-engine semantics, progressCTS).
 	r.seq = c.nextSeq()
-	// Register before the RTS leaves so any blocking wait can service the
-	// CTS the moment it arrives (progress-engine semantics).
 	c.pending[r.seq] = r
-	if err := c.sendFrame(dst, kindRTS, tag, r.seq, len(payload), nil); err != nil {
-		delete(c.pending, r.seq)
-		r.release()
-		r.done, r.err = true, err
+	if err := c.sendFrame(dst, kindRTS, tag, r.seq, len(r.payload), nil); err != nil {
+		r.abortSend(err)
 		return r, err
 	}
 	return r, nil
@@ -108,11 +101,7 @@ func (r *Request) abortSend(err error) {
 // Irecv starts a nonblocking receive. The match and transfer happen in
 // Wait or Test.
 func (c *Comm) Irecv(src, tag int, maxLen int) (*Request, error) {
-	dt := core.TypeBytes
-	if cc := c.opts.Compression; cc != nil && cc.DataType != 0 {
-		dt = cc.DataType
-	}
-	return c.IrecvTyped(src, tag, dt, maxLen)
+	return c.IrecvTyped(src, tag, c.dataType(), maxLen)
 }
 
 // IrecvTyped is Irecv with an explicit datatype.
@@ -186,7 +175,7 @@ func (r *Request) Test() ([]byte, bool, error) {
 		return nil, r.done, r.err
 	}
 	for _, env := range c.unexpected {
-		if c.accepts(env, r.src, r.tag, kindEager, 0) || c.accepts(env, r.src, r.tag, kindRTS, 0) {
+		if c.startsMessage(env, r.src, r.tag) {
 			data, err := r.Wait()
 			return data, true, err
 		}
@@ -242,7 +231,7 @@ func (c *Comm) Probe(src, tag int) (fromRank, msgTag, size int, ok bool, err err
 		return 0, 0, 0, false, err
 	}
 	for _, env := range c.unexpected {
-		if c.accepts(env, src, tag, kindEager, 0) || c.accepts(env, src, tag, kindRTS, 0) {
+		if c.startsMessage(env, src, tag) {
 			// The RTS advertises the (possibly compressed) payload size.
 			return c.groupOf(env.world), env.tag, env.origLen, true, nil
 		}

@@ -31,9 +31,9 @@ import (
 // Chunk departures follow the virtual completion schedule, serialised by
 // the link: a frame cannot depart while the previous one still occupies
 // the wire.
-func (c *Comm) sendPipelined(dst, tag int, dt core.DataType, cc *CompressionConfig, data []byte) error {
+func (c *Comm) sendPipelined(dst, tag int, dt core.DataType, data []byte) error {
 	lib := c.pedal
-	spec, err := lib.PipelineSpec(cc.Design, dt)
+	spec, err := lib.PipelineSpec(c.opts.Compression.Design, dt)
 	if err != nil {
 		return fmt.Errorf("mpi: pedal pipeline: %w", err)
 	}
@@ -111,16 +111,12 @@ func (c *Comm) sendPipelined(dst, tag int, dt core.DataType, cc *CompressionConf
 // arriving chunk frame to the decompression session at its virtual
 // arrival time. Decoding overlaps reception; the final clock position is
 // the pipeline makespan, not the sum of chunk decode times.
-func (c *Comm) recvPipelined(env envelope, dt core.DataType, maxLen int) ([]byte, error) {
-	_ = dt // the descriptor names the codec; datatype is implied
+func (c *Comm) recvPipelined(env envelope, maxLen int) ([]byte, error) {
 	if c.pedal == nil {
 		return nil, fmt.Errorf("%w: pipelined RTS without PEDAL configured", ErrMismatch)
 	}
-	engine := core.Design{}.Engine
-	if cc := c.opts.Compression; cc != nil {
-		engine = cc.Design.Engine
-	}
-	recv, err := c.pedal.NewPipelinedRecv(engine, env.payload, maxLen)
+	// The descriptor names the codec, so the datatype is implied.
+	recv, err := c.pedal.NewPipelinedRecv(c.opts.Compression.Design.Engine, env.payload, maxLen)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: pedal pipelined recv: %w", err)
 	}

@@ -156,13 +156,7 @@ func (c *Comm) progressCTS(env envelope) bool {
 	c.clock.AdvanceTo(durationOf(env.departure) + c.wire(envHeaderLen))
 	r.err = c.sendFrame(r.dst, kindData, r.tag, r.seq, r.origLen, r.payload)
 	r.done = true
-	if r.pooled {
-		// The envelope encoder copied the payload onto the wire; the
-		// compressed buffer goes back to the pool now.
-		c.pedal.Release(r.payload)
-		r.pooled = false
-	}
-	r.payload = nil
+	r.release()
 	return true
 }
 
@@ -273,11 +267,16 @@ func (c *Comm) waitFor(src, tag int, kind byte, seq uint64) (envelope, error) {
 	})
 }
 
-// waitForSendStart waits for the first frame of an incoming message:
-// either an eager payload or an RTS.
+// startsMessage reports whether env is the first frame of a message
+// matching (src, tag): an eager payload or an RTS.
+func (c *Comm) startsMessage(env envelope, src, tag int) bool {
+	return c.accepts(env, src, tag, kindEager, 0) || c.accepts(env, src, tag, kindRTS, 0)
+}
+
+// waitForSendStart waits for the first frame of an incoming message.
 func (c *Comm) waitForSendStart(src, tag int) (envelope, error) {
 	return c.waitMatch(src, func(env envelope) bool {
-		return c.accepts(env, src, tag, kindEager, 0) || c.accepts(env, src, tag, kindRTS, 0)
+		return c.startsMessage(env, src, tag)
 	})
 }
 
@@ -299,73 +298,38 @@ func (c *Comm) opBegin() error {
 	return c.liveness(AnySource, time.Time{})
 }
 
+// dataType is the datatype Send, Isend, Recv and Irecv use: the world's
+// configured one, or raw bytes.
+func (c *Comm) dataType() core.DataType {
+	if cc := c.opts.Compression; cc != nil && cc.DataType != 0 {
+		return cc.DataType
+	}
+	return core.TypeBytes
+}
+
 // Send transmits data to dst with the given tag, compressing on the fly
 // per the world's PEDAL configuration. Send blocks until the message is
 // on the wire (standard-mode semantics).
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	dt := core.TypeBytes
-	if cc := c.opts.Compression; cc != nil && cc.DataType != 0 {
-		dt = cc.DataType
-	}
-	return c.SendTyped(dst, tag, dt, data)
+	return c.SendTyped(dst, tag, c.dataType(), data)
 }
 
 // SendTyped is Send with an explicit datatype (the Listing-1 datatype
-// parameter; float types enable the lossy design).
+// parameter; float types enable the lossy design). It is IsendTyped
+// plus Wait, except that a pipelined world streams its Rendezvous
+// messages as chunk frames.
 func (c *Comm) SendTyped(dst, tag int, dt core.DataType, data []byte) error {
-	if err := c.opBegin(); err != nil {
-		return err
-	}
-	origLen := len(data)
-	payload := data
-	pooled := false
-	// PEDAL hook, sender side: between the shim and transport layers
-	// (Fig. 6). Only Rendezvous-class messages are compressed.
-	if cc := c.compressionFor(origLen); cc != nil {
-		if cc.Pipelined && origLen >= c.opts.RendezvousThreshold {
-			// Streamed-frame rendezvous: chunks go on the wire as they
-			// compress instead of after one monolithic compression.
-			return c.sendPipelined(dst, tag, dt, cc, data)
+	if cc := c.opts.Compression; cc != nil && cc.Pipelined && len(data) >= c.opts.RendezvousThreshold {
+		if err := c.opBegin(); err != nil {
+			return err
 		}
-		msg, rep, err := c.pedal.Compress(cc.Design, dt, data)
-		if err != nil {
-			return fmt.Errorf("mpi: pedal compress: %w", err)
-		}
-		payload = msg
-		pooled = true
-		c.clock.Advance(rep.Virtual)
-		c.mergePhases(rep)
+		return c.sendPipelined(dst, tag, dt, data)
 	}
-	release := func() {
-		if pooled {
-			// encodeEnvelope copies onto the wire, so the compressed
-			// buffer returns to the pool on every exit path — an aborted
-			// rendezvous must not leak it.
-			c.pedal.Release(payload)
-		}
-	}
-	if origLen < c.opts.RendezvousThreshold {
-		// Eager: single frame, payload inline.
-		err := c.sendFrame(dst, kindEager, tag, c.nextSeq(), origLen, payload)
-		release()
-		return err
-	}
-	// Rendezvous: RTS carries the payload size; the receiver posts a
-	// PEDAL buffer of that size and grants with CTS.
-	seq := c.nextSeq()
-	if err := c.sendFrame(dst, kindRTS, tag, seq, len(payload), nil); err != nil {
-		release()
-		return err
-	}
-	cts, err := c.waitFor(dst, AnyTag, kindCTS, seq)
+	r, err := c.IsendTyped(dst, tag, dt, data)
 	if err != nil {
-		release()
 		return err
 	}
-	// Merge the receiver's grant time plus control-message latency.
-	c.clock.AdvanceTo(durationOf(cts.departure) + c.wire(envHeaderLen))
-	err = c.sendFrame(dst, kindData, tag, seq, origLen, payload)
-	release()
+	_, err = r.Wait()
 	return err
 }
 
@@ -374,11 +338,7 @@ func (c *Comm) SendTyped(dst, tag int, dt core.DataType, data []byte) error {
 // co-design: the transport delivers into a PEDAL-owned buffer, and the
 // decompressed message is produced for the user without an extra copy.
 func (c *Comm) Recv(src, tag int, maxLen int) ([]byte, error) {
-	dt := core.TypeBytes
-	if cc := c.opts.Compression; cc != nil && cc.DataType != 0 {
-		dt = cc.DataType
-	}
-	return c.RecvTyped(src, tag, dt, maxLen)
+	return c.RecvTyped(src, tag, c.dataType(), maxLen)
 }
 
 // RecvTyped is Recv with an explicit datatype for the lossy design.
@@ -386,63 +346,50 @@ func (c *Comm) RecvTyped(src, tag int, dt core.DataType, maxLen int) ([]byte, er
 	if err := c.opBegin(); err != nil {
 		return nil, err
 	}
-	// Wait for either an eager message or a rendezvous RTS.
 	env, err := c.waitForSendStart(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	var payload []byte
-	var origLen int
-	switch env.kind {
-	case kindEager:
-		c.clock.AdvanceTo(durationOf(env.departure) + c.wire(envHeaderLen+len(env.payload)))
-		payload = env.payload
-		origLen = env.origLen
-	case kindRTS:
-		c.clock.AdvanceTo(durationOf(env.departure) + c.wire(envHeaderLen+len(env.payload)))
-		if len(env.payload) > 0 {
-			// An RTS carrying a payload is a pipelined stream descriptor:
-			// reassemble and decompress chunk frames as they land.
-			if maxLen > 0 && env.origLen > maxLen {
-				return nil, fmt.Errorf("%w: %d > %d", ErrTruncate, env.origLen, maxLen)
-			}
-			return c.recvPipelined(env, dt, maxLen)
+	c.clock.AdvanceTo(durationOf(env.departure) + c.wire(envHeaderLen+len(env.payload)))
+	if env.kind == kindEager || len(env.payload) > 0 {
+		// An eager frame carries the message, an RTS with a payload a
+		// pipelined stream descriptor; both announce the uncompressed
+		// length.
+		if maxLen > 0 && env.origLen > maxLen {
+			return nil, fmt.Errorf("%w: %d > %d", ErrTruncate, env.origLen, maxLen)
 		}
-		// Grant: MPICH posts the receive with a PEDAL-generated buffer
-		// sized from the RTS (paper §IV).
-		if err := c.sendFrame(env.src, kindCTS, env.tag, env.seq, 0, nil); err != nil {
-			return nil, err
+		if env.kind == kindEager {
+			// Eager messages are never compressed.
+			return env.payload, nil
 		}
-		data, err := c.waitFor(env.src, AnyTag, kindData, env.seq)
-		if err != nil {
-			return nil, err
-		}
-		c.clock.AdvanceTo(durationOf(data.departure) + c.wire(envHeaderLen+len(data.payload)))
-		payload = data.payload
-		origLen = data.origLen
-	default:
-		return nil, fmt.Errorf("%w: unexpected kind %d", ErrMismatch, env.kind)
+		return c.recvPipelined(env, maxLen)
 	}
-	if maxLen > 0 && origLen > maxLen {
-		return nil, fmt.Errorf("%w: %d > %d", ErrTruncate, origLen, maxLen)
+	// Grant: MPICH posts the receive with a PEDAL-generated buffer sized
+	// from the RTS (paper §IV).
+	if err := c.sendFrame(env.src, kindCTS, env.tag, env.seq, 0, nil); err != nil {
+		return nil, err
 	}
-	// PEDAL hook, receiver side: decompress from the PEDAL buffer
-	// directly into the user's buffer. Uncompressed payloads (no PEDAL
-	// header) pass through untouched.
-	if c.pedal != nil {
-		engine := core.Design{}.Engine
-		if cc := c.opts.Compression; cc != nil {
-			engine = cc.Design.Engine
-		}
-		out, rep, err := c.pedal.Decompress(engine, dt, payload, maxLen)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: pedal decompress: %w", err)
-		}
-		c.clock.Advance(rep.Virtual)
-		c.mergePhases(rep)
-		return out, nil
+	data, err := c.waitFor(env.src, AnyTag, kindData, env.seq)
+	if err != nil {
+		return nil, err
 	}
-	return payload, nil
+	c.clock.AdvanceTo(durationOf(data.departure) + c.wire(envHeaderLen+len(data.payload)))
+	if maxLen > 0 && data.origLen > maxLen {
+		return nil, fmt.Errorf("%w: %d > %d", ErrTruncate, data.origLen, maxLen)
+	}
+	if c.pedal == nil {
+		return data.payload, nil
+	}
+	// PEDAL hook, receiver side: a compressing world compresses every
+	// Rendezvous message, so DATA is a PEDAL message; it decompresses
+	// from the PEDAL buffer directly into the user's buffer.
+	out, rep, err := c.pedal.Decompress(c.opts.Compression.Design.Engine, dt, data.payload, maxLen)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: pedal decompress: %w", err)
+	}
+	c.clock.Advance(rep.Virtual)
+	c.mergePhases(rep)
+	return out, nil
 }
 
 // mergePhases folds a PEDAL operation report into the rank's breakdown.

@@ -127,120 +127,6 @@ func pingPong(comms []*mpi.Comm, payload []byte, iters int) error {
 	return <-errs
 }
 
-// BWConfig parameterises an osu_bw-style bandwidth run: windows of
-// back-to-back nonblocking sends, acknowledged once per window.
-type BWConfig struct {
-	World mpi.WorldOptions
-	// Sizes are the message sizes to sweep.
-	Sizes []int
-	// WindowSize is the number of in-flight messages per window; zero
-	// means 8 (osu_bw uses 64; the simulated fabric queues are smaller).
-	WindowSize int
-	// Windows per size; zero means 3.
-	Windows int
-	// Payload as in P2PConfig.
-	Payload func(size int) []byte
-}
-
-// BWResult is one point of an osu_bw sweep.
-type BWResult struct {
-	Size int
-	// Bandwidth is the modelled payload bandwidth in MB/s (uncompressed
-	// application bytes over virtual time).
-	Bandwidth float64
-	Wall      time.Duration
-}
-
-// RunBandwidth executes the osu_bw pattern: the sender issues a window
-// of nonblocking sends, the receiver posts matching receives and replies
-// with one small ack per window.
-func RunBandwidth(cfg BWConfig) ([]BWResult, error) {
-	window := cfg.WindowSize
-	if window == 0 {
-		window = 8
-	}
-	windows := cfg.Windows
-	if windows == 0 {
-		windows = 3
-	}
-	payloadFn := cfg.Payload
-	if payloadFn == nil {
-		payloadFn = DefaultPayload
-	}
-	results := make([]BWResult, 0, len(cfg.Sizes))
-	for _, size := range cfg.Sizes {
-		comms, err := mpi.NewWorld(2, cfg.World)
-		if err != nil {
-			return nil, err
-		}
-		payload := payloadFn(size)
-		wallStart := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, 2)
-		wg.Add(2)
-		go func() { // sender
-			defer wg.Done()
-			for w := 0; w < windows; w++ {
-				reqs := make([]*mpi.Request, window)
-				for i := range reqs {
-					r, err := comms[0].Isend(1, w*window+i, payload)
-					if err != nil {
-						errs <- err
-						return
-					}
-					reqs[i] = r
-				}
-				if err := mpi.Waitall(reqs...); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := comms[0].Recv(1, 1<<29, 16); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-		go func() { // receiver
-			defer wg.Done()
-			for w := 0; w < windows; w++ {
-				for i := 0; i < window; i++ {
-					if _, err := comms[1].Recv(0, w*window+i, size+1024); err != nil {
-						errs <- err
-						return
-					}
-				}
-				if err := comms[1].Send(0, 1<<29, nil); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			for _, c := range comms {
-				c.Close()
-			}
-			return nil, fmt.Errorf("osu: bw size %d: %w", size, err)
-		}
-		elapsed := comms[1].Clock().Now()
-		totalBytes := float64(size) * float64(window*windows)
-		bw := 0.0
-		if elapsed > 0 {
-			bw = totalBytes / elapsed.Seconds() / (1 << 20)
-		}
-		results = append(results, BWResult{
-			Size:      size,
-			Bandwidth: bw,
-			Wall:      time.Since(wallStart),
-		})
-		for _, c := range comms {
-			c.Close()
-		}
-	}
-	return results, nil
-}
-
 // BcastConfig parameterises an osu_bcast run.
 type BcastConfig struct {
 	World mpi.WorldOptions

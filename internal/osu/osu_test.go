@@ -127,58 +127,3 @@ func TestDefaultPayloadCompressible(t *testing.T) {
 		t.Fatal("size wrong")
 	}
 }
-
-func TestBandwidthSweep(t *testing.T) {
-	res, err := RunBandwidth(BWConfig{
-		Sizes:   []int{256 << 10, 4 << 20},
-		Windows: 2,
-		World: mpi.WorldOptions{
-			Compression: &mpi.CompressionConfig{
-				Design: core.Design{Algo: core.AlgoDeflate, Engine: hwmodel.CEngine},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("%d results", len(res))
-	}
-	for _, r := range res {
-		if r.Bandwidth <= 0 {
-			t.Fatalf("size %d: bandwidth %v", r.Size, r.Bandwidth)
-		}
-	}
-	// Bandwidth should improve with message size (fixed costs amortise).
-	if res[1].Bandwidth <= res[0].Bandwidth {
-		t.Fatalf("bandwidth not increasing: %.1f then %.1f MB/s", res[0].Bandwidth, res[1].Bandwidth)
-	}
-}
-
-func TestBandwidthCompressionWins(t *testing.T) {
-	// On highly compressible payloads the C-Engine design moves more
-	// application bytes per second than the uncompressed transfer once
-	// messages are large (the effective-bandwidth argument of the
-	// paper's motivation).
-	run := func(opts mpi.WorldOptions) float64 {
-		res, err := RunBandwidth(BWConfig{
-			Sizes:   []int{32 << 20},
-			Windows: 2,
-			World:   opts,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0].Bandwidth
-	}
-	plain := run(mpi.WorldOptions{})
-	compressed := run(mpi.WorldOptions{
-		Compression: &mpi.CompressionConfig{
-			Design: core.Design{Algo: core.AlgoDeflate, Engine: hwmodel.CEngine},
-		},
-	})
-	t.Logf("plain %.0f MB/s, compressed %.0f MB/s", plain, compressed)
-	if compressed <= 0 || plain <= 0 {
-		t.Fatal("zero bandwidth")
-	}
-}
